@@ -104,10 +104,14 @@ def _emit(args, report, lines):
 def _resolve_kmax(args, fallback=6):
     env = os.environ.get("SP_KMAX")
     if env is not None:
-        return int(env)
-    if args.kmax is not None:
-        return args.kmax
-    return fallback
+        kmax = int(env)
+    elif args.kmax is not None:
+        kmax = args.kmax
+    else:
+        return fallback
+    if kmax < 1:
+        raise _UsageError(f"kmax must be at least 1, got {kmax}")
+    return kmax
 
 
 def _require_spec(args):
@@ -558,8 +562,17 @@ def _rational_from_json(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"bad rational value {v!r}") from None
     raise ValueError(f"bad rational value {v!r}")
+
+
+def _json_list(v, what):
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list, got {v!r}")
+    return v
 
 
 def _curve_from_json(data):
@@ -570,13 +583,14 @@ def _curve_from_json(data):
     for key in ("rank_parity", "sigma", "columns"):
         if key not in data:
             raise ValueError(f"curve file lacks {key!r}")
-    sigma = tuple(tuple(_rational_from_json(e) for e in row) for row in data["sigma"])
+    sigma = tuple(tuple(_rational_from_json(e) for e in _json_list(row, "a sigma row"))
+                  for row in _json_list(data["sigma"], "sigma"))
     columns = []
-    for col in data["columns"]:
+    for col in _json_list(data["columns"], "columns"):
         entries = []
-        for coeffs in col:
+        for coeffs in _json_list(col, "a column"):
             terms = {}
-            for q, c in enumerate(coeffs):
+            for q, c in enumerate(_json_list(coeffs, "a column entry")):
                 cv = _rational_from_json(c)
                 if cv:
                     terms[(q,)] = cv

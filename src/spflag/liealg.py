@@ -1,26 +1,18 @@
 """Structure-constant Lie algebras: Heisenberg models and flat models.
 
 Degrees are carried as doubled integers so that half-integer gradings stay in
-int arithmetic.  A bracket table stores [b_i, b_j] for i < j as coefficient
-vectors; skewness fills the rest.
+int arithmetic.  Structure constants are stored sparsely, one dict per basis
+vector: rows[i][j] maps k to the nonzero coefficients of b_k in [b_i, b_j].
+Both orders of every pair are stored, so skewness is built in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import JacobiViolation
-from .exact import (
-    Rational,
-    frac,
-    is_zero_vector,
-    rref,
-    span_contains,
-    vec,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .exact import frac, is_zero_vector, rref, span_contains, vec
 from .symbols import (
     HALF,
     FlagSymbol,
@@ -37,69 +29,81 @@ from .symbols import (
 class GradedLieAlgebra:
     labels: tuple
     degrees2: tuple        # doubled degrees, one per basis vector
-    table: tuple           # table[i][j] = coefficient tuple of [b_i, b_j]
+    rows: tuple            # rows[i] = {j: {k: c}}: nonzero c in [b_i, b_j], both orders
 
     @property
     def dim(self):
         return len(self.labels)
 
+    @cached_property
+    def table(self):
+        """Dense view: table[i][j] = coefficient tuple of [b_i, b_j]."""
+        n = self.dim
+        out = []
+        for row in self.rows:
+            dense = []
+            for j in range(n):
+                v = [Fraction(0)] * n
+                for k, c in row.get(j, {}).items():
+                    v[k] = c
+                dense.append(tuple(v))
+            out.append(tuple(dense))
+        return tuple(out)
+
     def basis_vector(self, i):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
 
     def bracket(self, u, v):
-        n = self.dim
-        out = list(zero_vector(n))
-        for i in range(n):
-            ui = u[i]
-            if ui == 0:
+        out = [Fraction(0)] * self.dim
+        v_terms = [(j, vj) for j, vj in enumerate(v) if vj]
+        for i, ui in enumerate(u):
+            if not ui:
                 continue
-            for j in range(n):
-                vj = v[j]
-                if vj == 0 or i == j:
-                    continue
-                t = self.table[i][j]
-                c = ui * vj
-                for k in range(n):
-                    if t[k]:
-                        out[k] += c * t[k]
+            row = self.rows[i]
+            for j, vj in v_terms:
+                t = row.get(j)
+                if t:
+                    c = ui * vj
+                    for k, x in t.items():
+                        out[k] += c * x
         return tuple(out)
 
     def ad(self, u):
         """Matrix of ad(u) = [u, .] acting on coefficient vectors."""
         n = self.dim
-        cols = [self.bracket(u, self.basis_vector(j)) for j in range(n)]
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, ui in enumerate(u):
+            if ui:
+                for j, t in self.rows[i].items():
+                    for k, x in t.items():
+                        m[k][j] += ui * x
+        return tuple(tuple(r) for r in m)
 
     def degree_indices(self, d2):
         return tuple(i for i, d in enumerate(self.degrees2) if d == d2)
 
     def check_graded(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                t = self.table[i][j]
-                for k, c in enumerate(t):
-                    if c != 0 and self.degrees2[k] != self.degrees2[i] + self.degrees2[j]:
-                        raise JacobiViolation(
-                            f"bracket [{self.labels[i]},{self.labels[j]}] leaves the grading"
-                        )
+        d = self.degrees2
+        for i, row in enumerate(self.rows):
+            for j in sorted(row):
+                if any(d[k] != d[i] + d[j] for k in row[j]):
+                    raise JacobiViolation(
+                        f"bracket [{self.labels[i]},{self.labels[j]}] leaves the grading"
+                    )
 
     def check_jacobi(self):
+        """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] = 0 for all i < j < k."""
+        rows = self.rows
         n = self.dim
         for i in range(n):
-            bi = self.basis_vector(i)
             for j in range(i + 1, n):
-                bj = self.basis_vector(j)
-                bij = self.table[i][j]
                 for k in range(j + 1, n):
-                    bk = self.basis_vector(k)
-                    s = vec_add(
-                        vec_add(
-                            self.bracket(bij, bk),
-                            self.bracket(self.table[j][k], bi),
-                        ),
-                        self.bracket(self.bracket(bk, bi), bj),
-                    )
-                    if not is_zero_vector(s):
+                    s = {}
+                    for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, c in rows[p].get(q, {}).items():
+                            for t, x in rows[m].get(r, {}).items():
+                                s[t] = s.get(t, 0) + c * x
+                    if any(s.values()):
                         raise JacobiViolation(
                             f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
@@ -107,15 +111,13 @@ class GradedLieAlgebra:
 
 def algebra_from_entries(labels, degrees2, entries):
     """Build an algebra from sparse entries {(i, j): {k: coeff}} given for i < j."""
-    n = len(labels)
-    table = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
+    rows = [{} for _ in labels]
     for (i, j), comp in entries.items():
-        v = [Fraction(0)] * n
-        for k, c in comp.items():
-            v[k] = frac(c)
-        table[i][j] = tuple(v)
-        table[j][i] = tuple(-x for x in v)
-    return GradedLieAlgebra(tuple(labels), tuple(degrees2), tuple(tuple(r) for r in table))
+        v = {k: frac(c) for k, c in sorted(comp.items()) if c}
+        if v:
+            rows[i][j] = v
+            rows[j][i] = {k: -c for k, c in v.items()}
+    return GradedLieAlgebra(tuple(labels), tuple(degrees2), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +246,23 @@ def generated_subalgebra(alg: GradedLieAlgebra, generators):
 # Killing form and exact signatures
 
 def killing_matrix(alg: GradedLieAlgebra):
+    """K(i, j) = trace(ad b_i ad b_j) = sum of c_{ib}^a c_{ja}^b over nonzero constants."""
     n = alg.dim
-    ads = [alg.ad(alg.basis_vector(i)) for i in range(n)]
-    out = []
+    rows = alg.rows
+    out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            # trace of ads[i] @ ads[j] without forming the product
-            t = Fraction(0)
-            for a in range(n):
-                for b in range(n):
-                    t += ads[i][a][b] * ads[j][b][a]
-            row.append(t)
-        out.append(tuple(row))
-    return tuple(out)
+        terms = [(b, a, c) for b, t in rows[i].items() for a, c in t.items()]
+        for j in range(i, n):
+            row_j = rows[j]
+            s = Fraction(0)
+            for b, a, c in terms:
+                x = row_j.get(a)
+                if x:
+                    y = x.get(b)
+                    if y:
+                        s += c * y
+            out[i][j] = out[j][i] = s
+    return tuple(tuple(r) for r in out)
 
 
 def symmetric_signature(b):

@@ -13,19 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapReached, JacobiViolation
-from .exact import (
-    frac,
-    is_zero_vector,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-    solve_linear,
-    transpose,
-    vec,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .exact import kernel_basis, mat_mul, rref, transpose, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
 
@@ -87,25 +75,6 @@ class TanakaProlongation:
     g0_factors: tuple        # conformal factor per matrix
     layers: tuple            # layers[i] = tuple of LayerElement for degree i + 1
     report: ProlongationReport
-
-    def layer_dim(self, k):
-        if k == -2:
-            return 1
-        if k == -1:
-            return self.heis.space.dim
-        if k == 0:
-            return len(self.g0)
-        if 1 <= k <= len(self.layers):
-            return len(self.layers[k - 1])
-        return 0
-
-
-def _layer_flatten(elem: LayerElement):
-    out = []
-    for col in transpose(elem.m1) if elem.m1 else ():
-        out.extend(col)
-    out.extend(elem.m2)
-    return tuple(out)
 
 
 class _Engine:
@@ -208,29 +177,22 @@ class _Engine:
 
 
 def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:
-    """Compute positive layers until two consecutive vanish, or raise CapReached."""
+    """Compute positive layers until one vanishes, or raise CapReached."""
     eng = _Engine(heis, g0)
     degrees = []
     terminated = False
-    k = 1
-    while k <= kmax:
+    for k in range(1, kmax + 1):
         layer = eng.next_layer(k)
         eng.layers.append(layer)
         degrees.append((k, len(layer)))
-        if len(layer) == 0:
-            if k >= 2 and degrees[-2][1] == 0:
-                terminated = True
-                break
-            if k == 1 or degrees[-2][1] != 0:
-                # one confirming degree after the first zero
-                nxt = eng.next_layer(k + 1)
-                eng.layers.append(nxt)
-                degrees.append((k + 1, len(nxt)))
-                if len(nxt) == 0:
-                    terminated = True
-                    break
-                k += 1  # a zero layer followed by a nonzero one; keep going
-        k += 1
+        if not layer:
+            # g_- is generated in degree -1, so g_k = 0 forces g_{k+1} = 0
+            # (Tanaka 1970); the next degree is computed once to confirm it
+            nxt = eng.next_layer(k + 1)
+            eng.layers.append(nxt)
+            degrees.append((k + 1, len(nxt)))
+            terminated = not nxt
+            break
     dim_neg = heis.space.dim + 1
     total = None
     if terminated:
@@ -245,229 +207,99 @@ def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:
 # ---------------------------------------------------------------------------
 # assembling the full graded algebra
 
+def _locator(vectors):
+    """Echelon form of sparse vectors, computed once: (pivot key, coordinate
+    row) pairs such that v = sum_s c_s vectors[s] has c = sum v[key] * row."""
+    keys = sorted(set().union(*vectors))
+    d = len(vectors)
+    rows = [tuple(v.get(key, 0) for key in keys) + tuple(int(s == t) for t in range(d))
+            for s, v in enumerate(vectors)]
+    echelon, pivots = rref(rows)
+    return tuple((keys[p], row[len(keys):]) for row, p in zip(echelon, pivots) if p < len(keys))
+
+
 def assemble_algebra(tp: TanakaProlongation) -> GradedLieAlgebra:
     """Structure constants for the direct sum of all layers.
 
-    Brackets between positive layers are computed by the recursion
-    [f, g](w) = [f(w), g] + [f, g(w)] over the negative part, then located in
-    the layer bases.  JacobiViolation if anything fails to close or the final
-    Jacobi check fails.
+    Basis order: generators, center, g0, then layers 1..top.  An element u of
+    degree k >= 0 is given by its action on the negative part: [u, v_a] is
+    column a of M1 and [u, z] is M2 (for g0, the matrix and its conformal
+    factor).  The bracket of two such basis elements is computed once, in
+    increasing total degree, from the derivation rule
+        [[u, w], x] = [[u, x], w] + [u, [w, x]]    (x = v_a or z),
+    whose right side is read off the lower-degree table by bilinearity, then
+    located in its layer.  JacobiViolation if a bracket leaves its layer or
+    the final Jacobi check fails.
     """
-    heis = tp.heis
-    n = heis.space.dim
-    sigma = heis.space.sigma
-    top = len(tp.layers)
-    dims = {k: tp.layer_dim(k) for k in range(-2, top + 1)}
-
-    # global basis order: generators, center, g0, layers 1..top
+    n = tp.heis.space.dim
+    sigma = tp.heis.space.sigma
+    layers = [tuple(LayerElement(a, (f,)) for a, f in zip(tp.g0, tp.g0_factors))]
+    layers += tp.layers
     offsets = {-1: 0, -2: n}
-    pos = n + 1
-    for k in range(0, top + 1):
-        offsets[k] = pos
-        pos += dims[k]
-    total = pos
+    labels = list(tp.heis.space.labels) + ["z"]
+    degrees2 = [-2] * n + [-4]
+    for k, layer in enumerate(layers):
+        offsets[k] = len(labels)
+        labels += [f"u{k}[{s}]" for s in range(len(layer))]
+        degrees2 += [2 * k] * len(layer)
 
-    flat_layers = {
-        k: [_layer_flatten(e) for e in tp.layers[k - 1]] for k in range(1, top + 1)
-    }
+    # action[i] maps (x, t) to the coefficient of b_t in [b_i, b_x], where x
+    # runs over the generators 0..n-1 and the center n
+    action = {}
+    for k, layer in enumerate(layers):
+        for s, e in enumerate(layer):
+            act = {(a, offsets[k - 1] + r): c
+                   for r, row in enumerate(e.m1) for a, c in enumerate(row) if c}
+            act.update(((n, offsets[k - 2] + r), c) for r, c in enumerate(e.m2) if c)
+            action[offsets[k] + s] = act
+    locators = [_locator([action[offsets[k] + s] for s in range(len(layer))])
+                for k, layer in enumerate(layers)]
 
-    def locate(k, flat):
-        """Coordinates of a flattened (M1, M2) pair in the degree-k layer basis."""
-        basis = flat_layers[k]
-        if not basis:
-            if all(x == 0 for x in flat):
-                return ()
-            raise JacobiViolation(f"element of degree {k} outside the computed layer")
-        cols = tuple(tuple(b[i] for b in basis) for i in range(len(flat)))
-        sol = solve_linear(cols, flat)
-        if sol is None:
-            raise JacobiViolation(f"element of degree {k} outside the computed layer")
-        return sol
+    table = {}
 
-    g0_flat = [tuple(x for row in a for x in row) for a in tp.g0]
+    def put(i, j, value):
+        if value:
+            table[(i, j)] = value
+            table[(j, i)] = {t: -c for t, c in value.items()}
 
-    def locate_g0(mat):
-        flat = tuple(x for row in mat for x in row)
-        if not g0_flat:
-            if all(x == 0 for x in flat):
-                return ()
-            raise JacobiViolation("degree-0 bracket leaves the degree-0 algebra")
-        cols = tuple(tuple(b[i] for b in g0_flat) for i in range(len(flat)))
-        sol = solve_linear(cols, flat)
-        if sol is None:
-            raise JacobiViolation("degree-0 bracket leaves the degree-0 algebra")
-        return sol
-
-    def g0_matrix(coords):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for s, c in enumerate(coords):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        m[i][j] += c * tp.g0[s][i][j]
-        return tuple(tuple(r) for r in m)
-
-    def layer_elem(k, coords):
-        d1, d2 = dims[k - 1], dims[k - 2]
-        m1 = [[Fraction(0)] * n for _ in range(d1)]
-        m2 = [Fraction(0)] * d2
-        for s, c in enumerate(coords):
-            if c:
-                e = tp.layers[k - 1][s]
-                for r in range(d1):
-                    for a in range(n):
-                        m1[r][a] += c * e.m1[r][a]
-                for r in range(d2):
-                    m2[r] += c * e.m2[r]
-        return LayerElement(tuple(tuple(r) for r in m1), tuple(m2))
-
-    def bracket(k1, c1, k2, c2):
-        """Bracket of homogeneous elements given as (degree, coords)."""
-        if k1 > k2:
-            k, c = bracket(k2, c2, k1, c1)
-            if c is None:
-                return None, None
-            return k, vec_scale(Fraction(-1), c)
-        # now k1 <= k2
-        if k2 <= -1:
-            if k1 == -1 and k2 == -1:
-                val = Fraction(0)
-                for i in range(n):
-                    for j in range(n):
-                        val += c1[i] * c2[j] * sigma[i][j]
-                return -2, (val,)
-            return None, None  # [-1,-2] and [-2,-2] vanish
-        if k1 == -2:
-            if k2 == 0:
-                lam = sum((c * f for c, f in zip(c2, tp.g0_factors)), Fraction(0))
-                return -2, (-lam * c1[0],)
-            e = layer_elem(k2, c2)
-            out = vec_scale(-c1[0], e.m2)
-            return k2 - 2, out
-        if k1 == -1:
-            if k2 == 0:
-                m = g0_matrix(c2)
-                return -1, vec_scale(Fraction(-1), mat_vec(m, c1))
-            e = layer_elem(k2, c2)
-            out = [Fraction(0)] * dims[k2 - 1]
-            for a in range(n):
-                if c1[a]:
-                    for r in range(dims[k2 - 1]):
-                        out[r] -= c1[a] * e.m1[r][a]
-            return k2 - 1, tuple(out)
-        if k1 == 0 and k2 == 0:
-            m1m = g0_matrix(c1)
-            m2m = g0_matrix(c2)
-            comm = tuple(
-                tuple(
-                    sum((m1m[i][t] * m2m[t][j] - m2m[i][t] * m1m[t][j] for t in range(n)), Fraction(0))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            return 0, locate_g0(comm)
-        # at least one positive layer: use the recursion over the negative part
-        kk = k1 + k2
-        m1_cols = []
-        for a in range(n):
-            ea = tuple(Fraction(1) if i == a else Fraction(0) for i in range(n))
-            d1, w1 = bracket(k1 - 1, _apply_gen(k1, c1, a), k2, c2)
-            d2_, w2 = bracket(k1, c1, k2 - 1, _apply_gen(k2, c2, a))
-            col = _sum_parts(kk - 1, (d1, w1), (d2_, w2))
-            m1_cols.append(col)
-        dz1, wz1 = bracket(k1 - 2, _apply_center(k1, c1), k2, c2)
-        dz2, wz2 = bracket(k1, c1, k2 - 2, _apply_center(k2, c2))
-        m2v = _sum_parts(kk - 2, (dz1, wz1), (dz2, wz2))
-        flat = []
-        for a in range(n):
-            flat.extend(m1_cols[a])
-        flat.extend(m2v)
-        if kk > top:
-            if all(x == 0 for x in flat):
-                return kk, ()
-            raise JacobiViolation(f"bracket of degrees {k1},{k2} escapes the computed range")
-        return kk, locate(kk, tuple(flat))
-
-    def _apply_gen(k, coords, a):
-        """[elem, v_a] coordinates one layer down."""
-        if k == 0:
-            m = g0_matrix(coords)
-            return tuple(m[i][a] for i in range(n))
-        e = layer_elem(k, coords)
-        return tuple(e.m1[r][a] for r in range(dims[k - 1]))
-
-    def _apply_center(k, coords):
-        if k == 0:
-            lam = sum((c * f for c, f in zip(coords, tp.g0_factors)), Fraction(0))
-            return (lam,)
-        e = layer_elem(k, coords)
-        return e.m2
-
-    def _sum_parts(expect_deg, *parts):
-        out = None
-        size = {-2: 1, -1: n}.get(expect_deg, dims.get(expect_deg, 0))
-        out = [Fraction(0)] * size
-        for d, w in parts:
-            if w is None or d is None:
-                continue
-            if not w:
-                continue
-            if d != expect_deg:
-                if all(x == 0 for x in w):
-                    continue
-                raise JacobiViolation("inhomogeneous bracket")
-            for i, x in enumerate(w):
-                out[i] += x
-        return tuple(out)
-
-    # build the global structure-constant table
-    def global_elems():
-        out = []
-        for a in range(n):
-            out.append((-1, tuple(Fraction(1) if i == a else Fraction(0) for i in range(n))))
-        out.append((-2, (Fraction(1),)))
-        for k in range(0, top + 1):
-            for s in range(dims[k]):
-                out.append((k, tuple(Fraction(1) if i == s else Fraction(0) for i in range(dims[k]))))
-        return out
-
-    elems = global_elems()
-    labels = []
-    degrees2 = []
     for a in range(n):
-        labels.append(heis.space.labels[a])
-        degrees2.append(-2)
-    labels.append("z")
-    degrees2.append(-4)
-    for k in range(0, top + 1):
-        for s in range(dims[k]):
-            labels.append(f"u{k}[{s}]")
-            degrees2.append(2 * k)
+        for b in range(a + 1, n):
+            if sigma[a][b]:
+                put(a, b, {n: sigma[a][b]})
+    for i, act in action.items():
+        for x in range(n + 1):
+            put(i, x, {t: c for (y, t), c in act.items() if y == x})
 
-    def embed(deg, coords):
-        v = [Fraction(0)] * total
-        if deg == -1:
-            for i, c in enumerate(coords):
-                v[i] = c
-        elif deg == -2:
-            v[n] = coords[0]
-        else:
-            off = offsets[deg]
-            for i, c in enumerate(coords):
-                v[off + i] = c
-        return tuple(v)
+    def locate(k, act):
+        coords = {}
+        for key, row in locators[k] if k < len(layers) else ():
+            c = act.get(key)
+            if c:
+                for s, r in enumerate(row):
+                    if r:
+                        coords[s] = coords.get(s, 0) + c * r
+        rebuilt = {}
+        for s, c in coords.items():
+            for key, r in action[offsets[k] + s].items():
+                rebuilt[key] = rebuilt.get(key, 0) + c * r
+        if {key: c for key, c in rebuilt.items() if c} != act:
+            raise JacobiViolation(f"element of degree {k} outside the computed layer")
+        return {offsets[k] + s: c for s, c in sorted(coords.items()) if c}
 
-    entries = {}
-    for i in range(total):
-        ki, ci = elems[i]
-        for j in range(i + 1, total):
-            kj, cj = elems[j]
-            d, w = bracket(ki, ci, kj, cj)
-            if d is None or w is None or all(x == 0 for x in w):
-                continue
-            ev = embed(d, w)
-            entries[(i, j)] = {t: ev[t] for t in range(total) if ev[t] != 0}
+    degree = [d // 2 for d in degrees2]
+    pairs = sorted(((i, j) for i in action for j in action if i < j),
+                   key=lambda p: degree[p[0]] + degree[p[1]])
+    for i, j in pairs:
+        act = {}
+        for (x, c), u in action[i].items():          # [[b_i, b_x], b_j]
+            for t, w in table.get((c, j), {}).items():
+                act[(x, t)] = act.get((x, t), 0) + u * w
+        for (x, c), u in action[j].items():          # [b_i, [b_j, b_x]]
+            for t, w in table.get((i, c), {}).items():
+                act[(x, t)] = act.get((x, t), 0) + u * w
+        put(i, j, locate(degree[i] + degree[j], {key: c for key, c in act.items() if c}))
 
+    entries = {(i, j): v for (i, j), v in table.items() if i < j}
     alg = algebra_from_entries(tuple(labels), tuple(degrees2), entries)
     alg.check_jacobi()
     return alg

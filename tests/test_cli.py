@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from spflag.cli import main
 from spflag.abnormal import flat_curve
 from spflag.flagprolong import flag_prolong
@@ -132,6 +134,17 @@ def test_kmax_env_override(capsys, monkeypatch):
     assert [d["k"] for d in data["results"][0]["degrees"]] == [1]
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_kmax_below_one_is_a_usage_error(capsys, monkeypatch, kmax):
+    code, out, err = run(capsys, "prolong", "tanaka", "--spec", "R(3/2)", "--kmax", kmax)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: kmax must be at least 1, got {kmax}\n"
+    monkeypatch.setenv("SP_KMAX", kmax)
+    code, out, err = run(capsys, "prolong", "tanaka", "--spec", "R(3/2)", "--json")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: kmax must be at least 1, got {kmax}\n"
+
+
 def test_prolong_flag_matches_api(capsys):
     code, out, _ = run(capsys, "prolong", "flag", "--spec", "D(2,3)", "--json")
     assert code == 0
@@ -233,6 +246,19 @@ def test_extract_rejects_float_entries(capsys, tmp_path):
     }), encoding="utf-8")
     code, _, err = run(capsys, "extract", "--curve", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("columns, sigma", [
+    ([[1, 2]], [[0, 1], [-1, 0]]),        # a column entry that is a bare number
+    ([[[1], [0]]], [[0, "1/0"], [-1, 0]]),  # a zero denominator
+])
+def test_extract_rejects_malformed_curve(capsys, tmp_path, columns, sigma):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"columns": columns, "rank_parity": 0, "sigma": sigma}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_extract_missing_file(capsys, tmp_path):

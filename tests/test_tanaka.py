@@ -1,11 +1,22 @@
 """Degreewise prolongation engine and algebra assembly."""
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from spflag.errors import CapReached
-from spflag.exact import identity_matrix, mat
-from spflag.liealg import heisenberg, killing_matrix, symmetric_signature
+from spflag.errors import CapReached, JacobiViolation
+from spflag.exact import identity_matrix, mat, rank
+from spflag.flagprolong import flag_prolong
+from spflag.liealg import (
+    algebra_from_entries,
+    heisenberg,
+    heisenberg_from_space,
+    killing_matrix,
+    symmetric_signature,
+)
+from spflag.symbols import build_model_space, parse_symbol
 from spflag.tanaka import assemble_algebra, conformal_factor, prolong
 
 E = mat([[0, 1], [0, 0]])
@@ -93,3 +104,100 @@ def test_determinism():
     a = prolong(heisenberg(2), [H, ID2]).report
     b = prolong(heisenberg(2), [H, ID2]).report
     assert a == b
+
+
+# --- assembled algebras against dense references built from the table --------
+
+def tanaka_of(text):
+    x = build_model_space(parse_symbol(text))
+    return prolong(heisenberg_from_space(x), flag_prolong(x).matrices())
+
+
+def dense_killing(table):
+    """trace(ad_i ad_j) with ad_i[a][b] = table[i][b][a], summed densely."""
+    n = len(table)
+    return tuple(
+        tuple(sum((table[i][b][a] * table[j][a][b] for a in range(n) for b in range(n)),
+                  Fraction(0)) for j in range(n))
+        for i in range(n))
+
+
+def dense_jacobi_defects(table):
+    """Triples i < j < k whose Jacobi sum is nonzero, from the dense table."""
+    n = len(table)
+
+    def bracket_with(u, k):
+        out = [Fraction(0)] * n
+        for m, c in enumerate(u):
+            if c:
+                for t in range(n):
+                    out[t] += c * table[m][k][t]
+        return out
+
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (bracket_with(table[i][j], k), bracket_with(table[j][k], i),
+                         bracket_with(table[k][i], j))
+                if any(sum(col) for col in zip(*terms)):
+                    bad.append((i, j, k))
+    return bad
+
+
+@pytest.mark.parametrize("text", ["R(3/2)", "D(2,3)"])
+def test_killing_matches_dense_trace(text):
+    alg = assemble_algebra(tanaka_of(text))
+    k = killing_matrix(alg)
+    assert k == dense_killing(alg.table)
+    # R(3/2) is simple; D(2,3) has a degenerate Killing form
+    assert (rank(k) == alg.dim) == (text == "R(3/2)")
+
+
+def test_check_jacobi_catches_one_changed_constant():
+    alg = assemble_algebra(tanaka_of("R(3/2)"))
+    entries = {(i, j): dict(t) for i, row in enumerate(alg.rows) for j, t in row.items()
+               if i < j}
+    for (i, j), t in sorted(entries.items())[::3]:
+        k = max(t)
+        broken = algebra_from_entries(alg.labels, alg.degrees2,
+                                      {**entries, (i, j): {**t, k: t[k] + 1}})
+        # the first failing triple in i < j < k order is the one reported
+        first = dense_jacobi_defects(broken.table)[0]
+        with pytest.raises(JacobiViolation) as exc:
+            broken.check_jacobi()
+        assert str(exc.value) == "Jacobi fails on ({}, {}, {})".format(
+            *(alg.labels[m] for m in first))
+
+
+def test_assemble_rejects_bracket_outside_a_cut_layer():
+    tp = tanaka_of("D(1,2)")
+    assert tp.report.degrees[:2] == ((1, 6), (2, 1))
+    # layer 1 without its last element, and nothing above it that refers to it
+    cut = replace(tp, layers=(tp.layers[0][:-1], (), ()))
+    with pytest.raises(JacobiViolation, match="degree 1 outside the computed layer"):
+        assemble_algebra(cut)
+
+
+def test_so43_table_independent_checks():
+    tp = tanaka_of("D(1,2)")
+    alg = assemble_algebra(tp)
+    table = alg.table
+    n = alg.dim
+    assert n == 21
+    for i in range(n):
+        for j in range(n):
+            assert table[i][j] == tuple(-c for c in table[j][i])
+    alg.check_graded()
+    # brackets with the negative part are the Heisenberg pairing and the
+    # g0 matrices themselves
+    dim_x = tp.heis.space.dim
+    sigma = tp.heis.space.sigma
+    for a in range(dim_x):
+        for b in range(dim_x):
+            assert table[a][b][dim_x] == sigma[a][b]
+        for s, m in enumerate(tp.g0):
+            g = dim_x + 1 + s
+            assert table[g][a][:dim_x] == tuple(m[r][a] for r in range(dim_x))
+    assert dense_jacobi_defects(table) == []
+    assert rank(dense_killing(table)) == 21

@@ -16,14 +16,14 @@ from fractions import Fraction
 
 from .errors import NonRegularPoint, NonSymplecticFlag, NotInAnnihilator, ConstraintError
 from .exact import (
+    Echelon,
     MultiPoly,
     frac,
     is_zero_vector,
     kernel_basis,
     pfaffian,
-    rref,
+    rank,
     solve_linear,
-    span_contains,
     sub_pfaffians,
     vec,
     zero_vector,
@@ -101,19 +101,17 @@ def derived_filtration(fm: FlatModel):
     """Bases of the bracket-generated subspaces D, D + [D,D], ... until stable."""
     alg = fm.algebra
     dist = [alg.basis_vector(i) for i in fm.distribution]
-    current = list(rref(dist)[0])
-    out = [tuple(current)]
+    span = Echelon(alg.dim, dist)
+    current = span.rref()[0]
+    out = [current]
     while True:
-        grown = list(current)
         for u in dist:
             for v in current:
-                w = alg.bracket(u, v)
-                if not is_zero_vector(w) and not span_contains(grown, w):
-                    grown = list(rref(grown + [w])[0])
-        if len(grown) == len(current):
+                span.add(alg.bracket(u, v))
+        if span.rank == len(current):
             return tuple(out)
-        current = grown
-        out.append(tuple(current))
+        current = span.rref()[0]
+        out.append(current)
 
 
 # ---------------------------------------------------------------------------
@@ -377,58 +375,32 @@ def _dcol(col):
 
 
 def _eval_col(col, t0):
-    return tuple(p.subs({"t": t0}) for p in col)
+    """Values at t0 of polynomials in t, read off their coefficients."""
+    if not t0:
+        return tuple(p.terms.get((0,), ZERO) for p in col)
+    return tuple(sum((c * t0 ** e for (e,), c in p.terms.items()), ZERO) for p in col)
 
 
-class _Span:
-    """Incremental span with exact membership tests."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-
-    def _reduce(self, v):
-        v = list(v)
-        for row, piv in self.rows:
-            if v[piv]:
-                c = v[piv]
-                for j in range(piv, self.n):
-                    v[j] -= c * row[j]
-        return v
-
-    def add(self, v):
-        """Insert the vector; True iff it grew the span."""
-        v = self._reduce(v)
-        piv = next((j for j in range(self.n) if v[j]), None)
-        if piv is None:
-            return False
-        c = v[piv]
-        self.rows.append(([e / c for e in v], piv))
-        return True
-
-    def contains(self, v):
-        return all(e == 0 for e in self._reduce(v))
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-def _fiber_basis(vectors):
-    live = [v for v in vectors if not is_zero_vector(v)]
-    return rref(live)[0] if live else ()
+def _fiber_basis(vectors, n):
+    return Echelon(n, vectors).rref()[0]
 
 
 def _sigma_row(sigma, v):
-    n = len(sigma)
-    return tuple(sum(v[i] * sigma[i][j] for i in range(n)) for j in range(n))
+    """The row vector v^T sigma, visiting only nonzero entries of v and sigma."""
+    out = [ZERO] * len(sigma)
+    for x, row in zip(v, sigma):
+        if x:
+            for j, s in enumerate(row):
+                if s:
+                    out[j] += x * s
+    return tuple(out)
 
 
 def _skew_complement(basis, sigma):
     n = len(sigma)
     if not basis:
         return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    return tuple(kernel_basis([_sigma_row(sigma, b) for b in basis]))
+    return kernel_basis([_sigma_row(sigma, b) for b in basis])
 
 
 def _max_degree(cols):
@@ -438,24 +410,22 @@ def _max_degree(cols):
 def _generic_rank(cols, n):
     best = 0
     cap = min(n, len(cols))
-    for t0 in (Fraction(1), Fraction(2), Fraction(3)):
-        r = len(_fiber_basis([_eval_col(c, t0) for c in cols]))
-        best = max(best, r)
+    for t0 in (1, 2, 3):
+        best = max(best, rank([_eval_col(c, t0) for c in cols]))
         if best == cap:
             break
     return best
 
 
 def _check_regular(cols, n):
-    at0 = len(_fiber_basis([_eval_col(c, ZERO) for c in cols]))
-    if at0 != _generic_rank(cols, n):
+    if rank([_eval_col(c, ZERO) for c in cols]) != _generic_rank(cols, n):
         raise NonRegularPoint("span dimension drops at t = 0")
 
 
 def _cap_pairs(pairs, n):
     """Thin a family of section one-jets to one spanning the same jet space;
     constraints and fiber spans computed from it are unchanged."""
-    span = _Span(2 * n)
+    span = Echelon(2 * n)
     return [(val, der) for val, der in pairs if span.add(tuple(val) + tuple(der))]
 
 
@@ -469,12 +439,11 @@ class _ComplementJets:
     def __init__(self, cols, sigma):
         self.n = len(sigma)
         deg = _max_degree(cols)
-        self.coeff_rows = []
-        for col in cols:
-            row_poly = [sum((col[i] * frac(sigma[i][j]) for i in range(self.n)),
-                            MultiPoly.constant(TVAR, 0)) for j in range(self.n)]
-            self.coeff_rows.append(
-                [tuple(p.coefficient_of((q,)) for p in row_poly) for q in range(deg + 2)])
+        # coeff_rows[c][q]: coefficient of t^q in the row col_c(t)^T sigma
+        self.coeff_rows = [
+            [_sigma_row(sigma, tuple(p.coefficient_of((q,)) for p in col))
+             for q in range(deg + 2)]
+            for col in cols]
         self.r0 = [pr[0] for pr in self.coeff_rows]
         self.kernel = kernel_basis(self.r0)
         self.jets = [[k] for k in self.kernel]
@@ -487,9 +456,9 @@ class _ComplementJets:
             for jet in self.jets:
                 rhs = []
                 for pr in self.coeff_rows:
-                    s = Fraction(0)
+                    s = ZERO
                     for q in range(1, min(p, len(pr) - 1) + 1):
-                        s -= sum(pr[q][j] * jet[p - q][j] for j in range(self.n))
+                        s -= sum(x * y for x, y in zip(pr[q], jet[p - q]) if x and y)
                     rhs.append(s)
                 sol = solve_linear(self.r0, rhs)
                 if sol is None:
@@ -504,9 +473,7 @@ class _ComplementJets:
 def _select_reps(cands, floor_basis, target, n):
     """Greedy pick of (value, derivative) one-jets whose values complete the
     floor to the next fiber."""
-    span = _Span(n)
-    for b in floor_basis:
-        span.add(b)
+    span = Echelon(n, floor_basis)
     reps = []
     for val, der in cands:
         if len(reps) == target:
@@ -560,7 +527,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         idx = start_index
         while True:
             _check_regular(level, n)
-            fibers[idx] = _fiber_basis([_eval_col(c, ZERO) for c in level])
+            fibers[idx] = _fiber_basis([_eval_col(c, ZERO) for c in level], n)
             cands[idx] = _cap_pairs(
                 [(_eval_col(c, ZERO), _eval_col(_dcol(c), ZERO)) for c in level], n)
             if len(fibers[idx]) == n:
@@ -578,7 +545,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         # half-odd chain: jets of complement sections plus the base block
         jets = _ComplementJets(cols0, sigma)
         jets.ensure(1)
-        fibers[HALF] = _fiber_basis([jet[0] for jet in jets.jets])
+        fibers[HALF] = _fiber_basis([jet[0] for jet in jets.jets], n)
         cands[HALF] = _cap_pairs([(jet[0], jet[1]) for jet in jets.jets], n)
         level = -HALF
         k = 0
@@ -598,7 +565,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
                     vectors.append(val)
                     pairs.append((val, _eval_col(c1, ZERO)))
                     c = c1
-            fibers[level] = _fiber_basis(vectors)
+            fibers[level] = _fiber_basis(vectors, n)
             cands[level] = _cap_pairs(pairs, n)
             if len(fibers[level]) == n:
                 break
@@ -647,9 +614,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
 
     # flag shape: nested, isotropic above index zero, coisotropic from zero down
     for lo, hi in zip(grid, grid[1:]):
-        span = _Span(n)
-        for b in fibers[lo]:
-            span.add(b)
+        span = Echelon(n, fibers[lo])
         if any(not span.contains(v) for v in fibers[hi]):
             raise NonSymplecticFlag("filtration members are not nested")
     for i in grid:
@@ -661,9 +626,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
                     if sum(rows_s[a][j] * basis[b][j] for j in range(n)):
                         raise NonSymplecticFlag(f"member at index {i} is not isotropic")
         else:
-            span = _Span(n)
-            for b in basis:
-                span.add(b)
+            span = Echelon(n, basis)
             if any(not span.contains(v) for v in _skew_complement(basis, sigma)):
                 raise NonSymplecticFlag(f"member at index {i} is not coisotropic")
 
@@ -707,9 +670,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
                 nxt.append(tuple(out))
             vecs = nxt
             i -= ONE
-        if not vecs or not vecs[0]:
-            return 0
-        return len(_fiber_basis(vecs))
+        return rank(vecs)
 
     # rank profile -> multiset of row intervals, one parity class at a time
     offsets = {"odd": (ZERO,), "two": (HALF,), "even": (ZERO, HALF)}[case]

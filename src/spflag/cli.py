@@ -27,9 +27,10 @@ from .errors import (
     CapReached,
     CertificationFailure,
     NonRegularPoint,
+    NonSkew,
     NonSymplecticFlag,
 )
-from .exact import MultiPoly, frac, rref, spans_equal
+from .exact import MultiPoly, check_skew, frac, rank, rref, spans_equal
 from .flagprolong import decompose_azp, flag_prolong
 from .liealg import flat_model, heisenberg_from_space
 from .polyprolong import (
@@ -596,6 +597,15 @@ def _curve_from_json(data):
                     terms[(q,)] = cv
             entries.append(MultiPoly(("t",), terms))
         columns.append(tuple(entries))
+    n = len(sigma)
+    try:
+        check_skew(sigma)
+    except NonSkew as exc:
+        raise ValueError(f"sigma: {exc}") from None
+    if rank(sigma) != n:
+        raise ValueError("sigma is degenerate")
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns must have length {n}, the size of sigma")
     return tuple(columns), data["rank_parity"], sigma
 
 

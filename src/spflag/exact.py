@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals, Pfaffians, and sparse polynomials.
 
-Everything here is exact: scalars are ``fractions.Fraction``, elimination is
-fraction-free (Bareiss) on integer-scaled rows, and polynomial arithmetic is
-sparse with rational coefficients.  No floating point anywhere.
+Everything here is exact: scalars are ``fractions.Fraction``, and polynomial
+arithmetic is sparse with rational coefficients.  Every rank, kernel, rref,
+solve and span test runs on one engine, ``Echelon``: an incremental echelon
+form of sparse, primitive integer rows, reduced fraction-free.  ``det`` keeps
+its own sign-tracking Bareiss elimination.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -103,94 +105,140 @@ def bilinear(sigma, u, v):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
+# the elimination engine
 
-def _int_rows(a):
-    """Scale each row by the lcm of its denominators; kernel and rank survive."""
-    out = []
-    for row in a:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        if den == 1:
-            out.append([x.numerator for x in row])
+_ZERO = Fraction(0)
+
+
+def _primitive(row):
+    """The integer row {col: int} proportional to a {col: value} dict or a
+    sequence of rationals, with content 1 and zero entries dropped."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    row = {j: x for j, x in items if x}
+    if not row:
+        return row
+    den = math.lcm(*(x.denominator for x in row.values()))
+    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g != 1 else row
+
+
+def _eliminate(row, piv, c):
+    """Primitive integer combination of row and pivot row piv with column c
+    cleared.  Dividing by the content at every step keeps the entries from
+    growing with the number of steps."""
+    p, f = piv[c], row[c]
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    out = {j: p * x for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in piv.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
         else:
-            out.append([int(x * den) for x in row])
-    return out
+            del out[j]
+    g = math.gcd(*out.values()) if out else 1
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _bareiss(rows):
-    """In-place Bareiss echelon on integer rows; returns pivot column list.
+class Echelon:
+    """Incremental row echelon form over the rationals, on sparse rows.
 
-    Division by the previous pivot is exact by the Sylvester identity, so all
-    intermediate entries stay integers (they are minors of the input).
+    Rows are stored as {col: int} with content 1 and a positive leading entry,
+    keyed by leading column.  A row is added fraction-free, as in Bareiss
+    (1968): it is reduced against the stored rows, each step divided by its
+    content, until its leading column is new or it vanishes.  The set of
+    leading columns depends only on the row space, so kernel() and rref()
+    are canonical.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
+
+    def __init__(self, ncols, rows=()):
+        self.ncols = ncols
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    def _reduce(self, row):
+        rows = self.rows
+        while row:
+            lead = min(row)
+            piv = rows.get(lead)
+            if piv is None:
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pc = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            # the update applies to zero-lead rows too, Bareiss needs the rescale
-            for j in range(c, ncols):
-                if row_i[j] or (ric and row_r[j]):
-                    row_i[j] = (pc * row_i[j] - ric * row_r[j]) // prev
-        prev = pc
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            row = _eliminate(row, piv, lead)
+        return row
+
+    def add(self, row):
+        """Insert a row ({col: value} or a sequence); True iff the span grew."""
+        row = self._reduce(_primitive(row))
+        if not row:
+            return False
+        lead = min(row)
+        self.rows[lead] = row if row[lead] > 0 else {j: -x for j, x in row.items()}
+        return True
+
+    def contains(self, row):
+        return not self._reduce(_primitive(row))
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _back_reduce(self):
+        """Clear each pivot column from the other rows.  Rows are visited by
+        decreasing lead, so every pivot row used is already reduced and brings
+        in no other pivot column."""
+        rows = self.rows
+        for lead in sorted(rows, reverse=True):
+            row = rows[lead]
+            for c in [j for j in row if j != lead and j in rows]:
+                row = _eliminate(row, rows[c], c)
+            rows[lead] = row
+
+    def kernel(self):
+        """Basis of {v : row . v = 0 for every row}, one vector per free
+        column: 1 there, 0 at the other free columns."""
+        self._back_reduce()
+        at = {}
+        for lead, row in self.rows.items():
+            for j, x in row.items():
+                if j != lead:
+                    at.setdefault(j, []).append((lead, Fraction(-x, row[lead])))
+        basis = []
+        for f in range(self.ncols):
+            if f not in self.rows:
+                v = [_ZERO] * self.ncols
+                v[f] = Fraction(1)
+                for lead, x in at.get(f, ()):
+                    v[lead] = x
+                basis.append(tuple(v))
+        return tuple(basis)
+
+    def rref(self):
+        """Reduced row echelon form: (rows as Fraction tuples, pivot columns)."""
+        self._back_reduce()
+        pivots = tuple(sorted(self.rows))
+        out = []
+        for lead in pivots:
+            row = self.rows[lead]
+            v = [_ZERO] * self.ncols
+            for j, x in row.items():
+                v[j] = Fraction(x, row[lead])
+            out.append(tuple(v))
+        return tuple(out), pivots
 
 
 def rank(a):
     if not a or not a[0]:
         return 0
-    rows = _int_rows(a)
-    return len(_bareiss(rows))
+    return Echelon(len(a[0]), a).rank
 
 
 def kernel_basis(a):
     """Deterministic basis of the right kernel {v : a v = 0}."""
     if not a:
         return ()
-    ncols = len(a[0])
-    rows = _int_rows(a)
-    pivots = _bareiss(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        support = [f]
-        # back-substitute through the echelon rows; only the free column and
-        # later pivots can be nonzero, so the sums stay sparse
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = rows[r]
-            s = Fraction(0)
-            for j in support:
-                if j > pc and row[j] and v[j]:
-                    s += Fraction(row[j]) * v[j]
-            if s:
-                v[pc] = -s / row[pc]
-                support.append(pc)
-        basis.append(tuple(v))
-    return tuple(basis)
+    return Echelon(len(a[0]), a).kernel()
 
 
 def rref(a):
@@ -198,36 +246,8 @@ def rref(a):
 
     Canonical for a given row space, so two spans are equal iff their rrefs are.
     """
-    rows = [list(vec(r)) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                ci = rows[i][c]
-                rows[i] = [x - ci * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def row_space_basis(a):
-    return rref(a)[0]
+    a = mat(a)
+    return Echelon(len(a[0]), a).rref() if a else ((), ())
 
 
 def spans_equal(basis_a, basis_b):
@@ -247,11 +267,7 @@ def span_contains(basis, v):
         return True
     if not basis:
         return False
-    return rank(tuple(basis)) == rank(tuple(basis) + (tuple(v),))
-
-
-def span_contains_all(basis, vectors):
-    return all(span_contains(basis, v) for v in vectors)
+    return Echelon(len(v), basis).contains(v)
 
 
 def solve_linear(a, b):
@@ -259,12 +275,12 @@ def solve_linear(a, b):
     if not a:
         return None if any(x != 0 for x in b) else ()
     ncols = len(a[0])
-    aug = tuple(tuple(row) + (bi,) for row, bi in zip(mat(a), vec(b)))
-    rows, pivots = rref(aug)
+    aug = (tuple(row) + (bi,) for row, bi in zip(mat(a), vec(b)))
+    rows, pivots = Echelon(ncols + 1, aug).rref()
     if ncols in pivots:
         return None
     # with free variables at zero the rref rows give pivot values directly
-    x = [Fraction(0)] * ncols
+    x = [_ZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = rows[r][ncols]
     return tuple(x)

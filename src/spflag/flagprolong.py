@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .exact import (
+    Echelon,
     frac,
     kernel_basis,
     rref,
-    span_contains,
     spans_equal,
     vec,
 )
@@ -42,10 +43,12 @@ class MatrixSubspace:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def _span(self):
+        return Echelon(self.shape[0] * self.shape[1], map(flatten_matrix, self.basis))
+
     def contains(self, m):
-        if not self.basis:
-            return all(x == 0 for x in flatten_matrix(m))
-        return span_contains([flatten_matrix(b) for b in self.basis], flatten_matrix(m))
+        return self._span.contains(flatten_matrix(m))
 
     def equals(self, other):
         return self.shape == other.shape and spans_equal(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import JacobiViolation
-from .exact import frac, is_zero_vector, rref, span_contains, vec
+from .exact import Echelon, frac, vec
 from .symbols import (
     HALF,
     FlagSymbol,
@@ -227,19 +227,16 @@ def flat_model(sym: FlagSymbol) -> FlatModel:
 
 
 def generated_subalgebra(alg: GradedLieAlgebra, generators):
-    """Span closure of the generators under the bracket."""
-    basis = [vec(g) for g in generators]
-    basis = list(rref(basis)[0]) if basis else []
-    changed = True
-    while changed:
-        changed = False
-        for u in list(basis):
-            for v in list(basis):
-                w = alg.bracket(u, v)
-                if not is_zero_vector(w) and not span_contains(basis, w):
-                    basis = list(rref(basis + [w])[0])
-                    changed = True
-    return tuple(basis)
+    """Span closure of the generators under the bracket, as reduced rows."""
+    span = Echelon(alg.dim)
+    basis = [g for g in map(vec, generators) if span.add(g)]
+    # brackets of all pairs of a spanning set span the brackets of the span
+    for i, u in enumerate(basis):
+        for v in basis[:i + 1]:
+            w = alg.bracket(v, u)
+            if span.add(w):
+                basis.append(w)
+    return span.rref()[0]
 
 
 # ---------------------------------------------------------------------------

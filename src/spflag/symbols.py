@@ -66,6 +66,10 @@ def make_symbol(components):
 
 _TERM = re.compile(r"^(?:(\d+)\s*\*\s*)?(D|R)\s*\((.*)\)$")
 
+# Largest total dim_x (multiplicity times boxes, summed over the terms) that
+# parse_symbol accepts; it is checked before any component is expanded.
+MAX_DIM_X = 1000
+
 
 def _parse_number(tok, what):
     tok = tok.strip()
@@ -82,6 +86,7 @@ def parse_symbol(text):
     if not isinstance(text, str) or not text.strip():
         raise SymbolSyntaxError("empty symbol expression")
     comps = []
+    total = 0
     for raw in text.split("+"):
         term = raw.strip()
         m = _TERM.match(term)
@@ -98,14 +103,18 @@ def parse_symbol(text):
             ltok = args[1].strip()
             if not re.fullmatch(r"\d+", ltok):
                 raise SymbolSyntaxError(f"row length must be a nonnegative integer in {term!r}")
-            comps.extend([TwoRow(s, int(ltok))] * count)
+            comp, boxes = TwoRow(s, int(ltok)), 2 * (int(ltok) + 1)
         else:
             if len(args) != 1:
                 raise SymbolSyntaxError(f"R takes one argument, got {term!r}")
             mval = _parse_number(args[0], "row top")
             if mval.denominator != 2:
                 raise ConstraintError(f"centered row top must be half-odd, got {mval}")
-            comps.extend([OneRow(int(2 * mval))] * count)
+            comp, boxes = OneRow(int(2 * mval)), abs(int(2 * mval)) + 1
+        total += count * boxes
+        if total > MAX_DIM_X:
+            raise ConstraintError(f"symbol has dim_x above the limit of {MAX_DIM_X}")
+        comps.extend([comp] * count)
     return make_symbol(comps)
 
 

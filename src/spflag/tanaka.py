@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapReached, JacobiViolation
-from .exact import kernel_basis, mat_mul, rref, transpose, vec
+from .exact import Echelon, rref, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
 
@@ -22,24 +22,21 @@ def conformal_factor(a, sigma):
 
     Raises ValueError when A is not conformal-symplectic for sigma.
     """
-    n = len(sigma)
-    lhs = mat_mul(transpose(a), sigma)
-    rhs = mat_mul(sigma, a)
-    total = [[lhs[i][j] + rhs[i][j] for j in range(n)] for i in range(n)]
-    c = None
-    for i in range(n):
-        for j in range(n):
-            if sigma[i][j] != 0:
-                c = total[i][j] / sigma[i][j]
-                break
-        if c is not None:
-            break
-    if c is None:
+    pairs = [(i, j, s) for i, row in enumerate(sigma) for j, s in enumerate(row) if s]
+    if not pairs:
         raise ValueError("degenerate pairing")
-    for i in range(n):
-        for j in range(n):
-            if total[i][j] != c * sigma[i][j]:
-                raise ValueError("matrix is not conformal-symplectic")
+    a_rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    total = {}    # entries of A^T sigma + sigma A, from the nonzeros of both
+    for k, j, s in pairs:
+        for i, x in a_rows[k]:
+            total[(i, j)] = total.get((i, j), 0) + x * s
+        for m, x in a_rows[j]:
+            total[(k, m)] = total.get((k, m), 0) + s * x
+    i, j, s = pairs[0]
+    c = Fraction(total.get((i, j), 0)) / s
+    want = {(i, j): c * s for i, j, s in pairs}
+    if any(total.get(key, 0) != want.get(key, 0) for key in total.keys() | want.keys()):
+        raise ValueError("matrix is not conformal-symplectic")
     return c
 
 
@@ -78,11 +75,9 @@ class TanakaProlongation:
 
 
 class _Engine:
-    """Holds the per-layer application tensors during prolongation."""
+    """Holds the layers computed so far during prolongation."""
 
     def __init__(self, heis: HeisenbergModel, g0):
-        self.heis = heis
-        self.space = heis.space
         self.n = heis.space.dim
         self.sigma = heis.space.sigma
         self.g0 = tuple(tuple(vec(r) for r in a) for a in g0)
@@ -102,78 +97,60 @@ class _Engine:
             return len(self.layers[k - 1])
         return 0
 
-    def app_v(self, j, a):
-        """Matrix of [ . , v_a]: degree-j coords -> degree-(j-1) coords."""
+    def actions(self, j):
+        """Sparse rows of [ . , v_a] and [ . , z] on degree j: av[a][r] and
+        az[r] map s to the coefficient of basis element r of degree j - 1
+        (resp. j - 2) in the bracket of basis element s of degree j."""
         if j == -1:
-            return (tuple(self.sigma[r][a] for r in range(self.n)),)
-        if j == 0:
-            cols = [tuple(mat[r][a] for r in range(self.n)) for mat in self.g0]
-            return tuple(tuple(cols[s][r] for s in range(len(self.g0))) for r in range(self.n))
-        elems = self.layers[j - 1]
-        d_prev = self.dim(j - 1)
-        return tuple(
-            tuple(elems[s].m1[r][a] for s in range(len(elems))) for r in range(d_prev)
-        )
-
-    def app_z(self, j):
-        """Matrix of [ . , z]: degree-j coords -> degree-(j-2) coords."""
-        if j == -1:
-            return ()
-        if j == 0:
-            return (tuple(self.factors),)
-        elems = self.layers[j - 1]
-        d_prev2 = self.dim(j - 2)
-        return tuple(
-            tuple(elems[s].m2[r] for s in range(len(elems))) for r in range(d_prev2)
-        )
+            elems = [((row,), ()) for row in self.sigma]
+        elif j == 0:
+            elems = [(a, (f,)) for a, f in zip(self.g0, self.factors)]
+        else:
+            elems = [(e.m1, e.m2) for e in self.layers[j - 1]]
+        av = [[{} for _ in range(self.dim(j - 1))] for _ in range(self.n)]
+        az = [{} for _ in range(self.dim(j - 2))]
+        for s, (m1, m2) in enumerate(elems):
+            for r, row in enumerate(m1):
+                for a, c in enumerate(row):
+                    if c:
+                        av[a][r][s] = c
+            for r, c in enumerate(m2):
+                if c:
+                    az[r][s] = c
+        return av, az
 
     def next_layer(self, k):
+        """Degree-k layer: the kernel of the Leibniz identities on the unknown
+        (M1, M2), with M1[r][a] at column a * d1 + r and M2[r] at m2_off + r."""
         n = self.n
         d1 = self.dim(k - 1)   # target of M1 columns
         d2 = self.dim(k - 2)   # target of M2
-        d3 = self.dim(k - 3)
-        nvars = d1 * n + d2
-
-        def m1_index(r, a):
-            return a * d1 + r
-
         m2_off = d1 * n
-        rows = []
+        if m2_off + d2 == 0:
+            return ()
+        eqs = Echelon(m2_off + d2)
+        av, az = self.actions(k - 1)
         # Leibniz over generator pairs:
         #   sigma_ab m2 = [phi(v_a), v_b] - [phi(v_b), v_a]
-        av = [self.app_v(k - 1, a) for a in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
                 for r in range(d2):
-                    row = [Fraction(0)] * nvars
-                    for s in range(d1):
-                        row[m1_index(s, a)] += av[b][r][s]
-                        row[m1_index(s, b)] -= av[a][r][s]
-                    row[m2_off + r] -= self.sigma[a][b]
-                    rows.append(row)
+                    row = {a * d1 + s: c for s, c in av[b][r].items()}
+                    row.update((b * d1 + s, -c) for s, c in av[a][r].items())
+                    row[m2_off + r] = -self.sigma[a][b]
+                    eqs.add(row)
         # Leibniz over (generator, center) pairs:
         #   [phi(v_a), z] + [v_a, phi(z)] = 0
-        zmat = self.app_z(k - 1)
-        av2 = [self.app_v(k - 2, a) for a in range(n)]
+        av2, _ = self.actions(k - 2)
         for a in range(n):
-            for r in range(d3):
-                row = [Fraction(0)] * nvars
-                for s in range(d1):
-                    row[m1_index(s, a)] += zmat[r][s]
-                for s in range(d2):
-                    row[m2_off + s] -= av2[a][r][s]
-                rows.append(row)
-        if nvars == 0:
-            return ()
-        if not rows:
-            rows = [[Fraction(0)] * nvars]
-        sol = kernel_basis(tuple(tuple(r) for r in rows))
-        elems = []
-        for v in sol:
-            m1 = tuple(tuple(v[m1_index(r, a)] for a in range(n)) for r in range(d1))
-            m2 = tuple(v[m2_off + s] for s in range(d2))
-            elems.append(LayerElement(m1, m2))
-        return tuple(elems)
+            for r, zrow in enumerate(az):
+                row = {a * d1 + s: c for s, c in zrow.items()}
+                row.update((m2_off + s, -c) for s, c in av2[a][r].items())
+                eqs.add(row)
+        return tuple(
+            LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
+                         v[m2_off:])
+            for v in eqs.kernel())
 
 
 def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:

@@ -9,7 +9,7 @@ import pytest
 from spflag.cli import main
 from spflag.abnormal import flat_curve
 from spflag.flagprolong import flag_prolong
-from spflag.symbols import build_model_space, parse_symbol
+from spflag.symbols import MAX_DIM_X, build_model_space, parse_symbol
 
 
 def run(capsys, *argv):
@@ -68,6 +68,13 @@ def test_parse_rejects_bad_term(capsys):
     assert code == 1
     assert out == ""
     assert "bad term" in err
+
+
+@pytest.mark.parametrize("spec", ["99999999*D(1,2)", "R(99999999/2)", "D(1,999)+D(1,2)"])
+def test_parse_rejects_symbols_over_the_size_budget(capsys, spec):
+    code, out, err = run(capsys, "symbol", "parse", "--spec", spec)
+    assert (code, out) == (1, "")
+    assert err == f"error: symbol has dim_x above the limit of {MAX_DIM_X}\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -173,6 +180,19 @@ def test_verify_passes(capsys):
     assert all(v is not False for v in data["passes"].values())
 
 
+@pytest.mark.parametrize("spec, kmax", [("D(0,0)", "1"), ("D(1,1)", "2")])
+def test_verify_skips_row_secants_for_infinite_type(capsys, spec, kmax):
+    code, out, _ = run(capsys, "verify", "--spec", spec, "--kmax", kmax)
+    assert code == 0
+    assert "theorem row_secant_inclusion     SKIP" in out.splitlines()
+
+
+def test_verify_row_secants_pass_for_finite_type(capsys):
+    code, out, _ = run(capsys, "verify", "--spec", "R(5/2)", "--kmax", "2")
+    assert code == 0
+    assert "theorem row_secant_inclusion     PASS" in out.splitlines()
+
+
 def test_secant_hankel_agreement(capsys):
     code, out, _ = run(capsys, "secant", "--spec", "D(3,4)", "--kmax", "1",
                        "--json")
@@ -259,6 +279,32 @@ def test_extract_rejects_malformed_curve(capsys, tmp_path, columns, sigma):
     code, out, err = run(capsys, "extract", "--curve", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sigma": [[0, 1], [1, 0]]}, "sigma: entries (0,1) and (1,0) are not opposite"),
+    ({"sigma": [[0, 1, 0], [-1, 0, 0]]}, "sigma: matrix is not square"),
+    ({"sigma": [[0, 0], [0, 0]]}, "sigma is degenerate"),
+    ({"columns": [[[1], [0], [0]]]}, "columns must have length 2, the size of sigma"),
+])
+def test_extract_validates_sigma(capsys, tmp_path, change, message):
+    data = {"schema": "sp-1", "rank_parity": "odd", "sigma": [[0, 1], [-1, 0]],
+            "columns": [[[1], [0, 1]]]}
+    data.update(change)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_extract_rejects_symmetric_sigma_of_a_real_curve(capsys, tmp_path):
+    path = curve_file(tmp_path / "c.json", "D(2,3)")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["sigma"] = [[abs(e) for e in row] for row in data["sigma"]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sigma: ") and err.count("\n") == 1
 
 
 def test_extract_missing_file(capsys, tmp_path):

@@ -295,3 +295,77 @@ def test_det_generic_on_polys():
     t = MultiPoly.variable(vs, "t")
     m = ((t, 1 + 0 * t), (MultiPoly.constant(vs, 1), t))
     assert det_generic(m) == t * t - 1
+
+
+# --- sympy as an independent oracle for the elimination engine -------------
+
+def oracle_cases():
+    """Seeded rational matrices: empty, zero, wide, tall, rank-deficient,
+    mostly zero, and with ~150-bit entries."""
+    rng = random.Random(2026)
+
+    def dense(m, n, zeros=0.0, bits=None):
+        def entry():
+            if rng.random() < zeros:
+                return Fraction(0)
+            if bits:
+                return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** 20))
+            return random_rational(rng, -9, 9, 5)
+        return tuple(tuple(entry() for _ in range(n)) for _ in range(m))
+
+    cases = [(), ((Fraction(0),) * 4,) * 3]
+    for _ in range(4):
+        cases.append(dense(3, 7))                       # wide
+        cases.append(dense(8, 3))                       # tall
+        low = mat_mul(dense(6, 3), dense(3, 6))         # rank at most 3
+        cases.append(low + (tuple(x + y for x, y in zip(low[0], low[1])),))
+        cases.append(dense(9, 12, zeros=0.85))          # at least 80% zeros
+        cases.append(dense(5, 6, bits=150))
+        cases.append(dense(5, 5, zeros=0.3))
+    return cases
+
+
+def to_sympy(sympy, a, ncols=None):
+    ncols = len(a[0]) if a else ncols
+    return sympy.Matrix(len(a), ncols,
+                        [sympy.Rational(x.numerator, x.denominator) for row in a for x in row])
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_engine_matches_sympy_rank_rref_kernel():
+    sympy = pytest.importorskip("sympy")
+    for a in oracle_cases():
+        m = to_sympy(sympy, a, 0)
+        assert rank(a) == m.rank()
+        r, pivots = m.rref()
+        expect = tuple(tuple(from_sympy(x) for x in r.row(i)) for i in range(len(pivots)))
+        assert rref(a) == (expect, tuple(pivots))
+        if a:
+            assert kernel_basis(a) == tuple(
+                tuple(from_sympy(x) for x in v) for v in m.nullspace())
+
+
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for a in oracle_cases():
+        if a and len(a) == len(a[0]):
+            assert det(a) == from_sympy(to_sympy(sympy, a).det())
+
+
+def test_solve_linear_matches_sympy_consistency():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    for a in oracle_cases():
+        if not a:
+            continue
+        x0 = vec(random_rational(rng) for _ in a[0])
+        for b in (mat_vec(a, x0), vec(random_rational(rng) for _ in a)):
+            m = to_sympy(sympy, a)
+            consistent = m.rank() == m.row_join(to_sympy(sympy, [(x,) for x in b])).rank()
+            x = solve_linear(a, b)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert mat_vec(a, x) == b

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spflag.exact import is_zero_vector, mat
+from spflag.exact import is_zero_vector, mat, rref, span_contains
 from spflag.liealg import (
     FlatModel,
     algebra_from_entries,
@@ -171,6 +171,25 @@ def test_flat_model_distribution_generates(text):
     gens = [m.algebra.basis_vector(i) for i in m.distribution]
     closure = generated_subalgebra(m.algebra, gens)
     assert len(closure) == m.algebra.dim
+
+
+@pytest.mark.parametrize("text, k, dim", [("D(2,3)", 2, 3), ("D(2,3)+R(5/2)", 3, 7)])
+def test_generated_subalgebra_matches_naive_closure(text, k, dim):
+    alg = fm(text).algebra
+    gens = [alg.basis_vector(i) for i in fm(text).distribution[:k]]
+    naive = list(gens)
+    grown = True
+    while grown:
+        grown = False
+        for u in list(naive):
+            for v in list(naive):
+                w = alg.bracket(u, v)
+                if not span_contains(naive, w):
+                    naive.append(w)
+                    grown = True
+    closure = generated_subalgebra(alg, gens)
+    assert closure == rref(naive)[0]
+    assert len(closure) == dim
 
 
 def test_flat_model_distribution_rank():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spflag.errors import ConstraintError, SymbolSyntaxError, UnsupportedRank
 from spflag.exact import is_zero_vector, mat_mul, rank, transpose
 from spflag.symbols import (
+    MAX_DIM_X,
     FlagSymbol,
     OneRow,
     TwoRow,
@@ -84,6 +85,14 @@ def test_constraint_errors():
         parse_symbol("R(1/2)+R(3/2)")   # two centered rows
     with pytest.raises(ConstraintError):
         make_symbol([TwoRow(Fraction(-1), 2)])
+
+
+def test_parse_size_budget():
+    assert dim_x(parse_symbol("D(1,499)")) == MAX_DIM_X
+    assert dim_x(parse_symbol("4*D(1,123)+R(7/2)")) == MAX_DIM_X
+    for over in ["D(1,499)+R(1/2)", "1001*R(1/2)", "R(-2001/2)+200*D(1,2)"]:
+        with pytest.raises(ConstraintError, match="dim_x above the limit"):
+            parse_symbol(over)
 
 
 def test_json_round_trip():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapReached, JacobiViolation
-from .exact import Echelon, rref, vec
+from .exact import kernel_basis, rref, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
 
@@ -121,36 +121,44 @@ class _Engine:
 
     def next_layer(self, k):
         """Degree-k layer: the kernel of the Leibniz identities on the unknown
-        (M1, M2), with M1[r][a] at column a * d1 + r and M2[r] at m2_off + r."""
+        (M1, M2), with M1[r][a] at column a * d1 + r and M2[r] at m2_off + r.
+        Each identity is built from the nonzeros of the actions and written
+        into an integer row of zeros."""
         n = self.n
         d1 = self.dim(k - 1)   # target of M1 columns
         d2 = self.dim(k - 2)   # target of M2
         m2_off = d1 * n
-        if m2_off + d2 == 0:
+        nvars = m2_off + d2
+        if nvars == 0:
             return ()
-        eqs = Echelon(m2_off + d2)
+        rows = []
+
+        def put(*parts):
+            row = [0] * nvars
+            for off, entries, sign in parts:
+                for s, c in entries.items():
+                    row[off + s] = sign * c
+            rows.append(row)
+            return row
+
         av, az = self.actions(k - 1)
         # Leibniz over generator pairs:
         #   sigma_ab m2 = [phi(v_a), v_b] - [phi(v_b), v_a]
         for a in range(n):
             for b in range(a + 1, n):
                 for r in range(d2):
-                    row = {a * d1 + s: c for s, c in av[b][r].items()}
-                    row.update((b * d1 + s, -c) for s, c in av[a][r].items())
-                    row[m2_off + r] = -self.sigma[a][b]
-                    eqs.add(row)
+                    put((a * d1, av[b][r], 1),
+                        (b * d1, av[a][r], -1))[m2_off + r] = -self.sigma[a][b]
         # Leibniz over (generator, center) pairs:
         #   [phi(v_a), z] + [v_a, phi(z)] = 0
         av2, _ = self.actions(k - 2)
         for a in range(n):
             for r, zrow in enumerate(az):
-                row = {a * d1 + s: c for s, c in zrow.items()}
-                row.update((m2_off + s, -c) for s, c in av2[a][r].items())
-                eqs.add(row)
+                put((a * d1, zrow, 1), (m2_off, av2[a][r], -1))
         return tuple(
             LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
                          v[m2_off:])
-            for v in eqs.kernel())
+            for v in kernel_basis(rows or [[0] * nvars]))
 
 
 def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:

@@ -39,10 +39,6 @@ def zero_vector(n):
     return (Fraction(0),) * n
 
 
-def zero_matrix(m, n):
-    return tuple(zero_vector(n) for _ in range(m))
-
-
 def identity_matrix(n):
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -62,10 +58,6 @@ def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
 
-def vec_scale(c, u):
-    return tuple(c * x for x in u)
-
-
 def dot(u, v):
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
@@ -80,10 +72,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return tuple(vec_sub(r, s) for r, s in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(vec_scale(c, r) for r in a)
 
 
 def mat_vec(a, v):
@@ -214,18 +202,24 @@ class Echelon:
                 basis.append(tuple(v))
         return tuple(basis)
 
+    def reduced_rows(self):
+        """The rows of rref() as sparse {col: Fraction} dicts.  Columns need
+        only be ordered, so they may also be (i, j) matrix positions."""
+        self._back_reduce()
+        return [
+            {j: Fraction(x, row[lead]) for j, x in row.items()}
+            for lead, row in sorted(self.rows.items())
+        ]
+
     def rref(self):
         """Reduced row echelon form: (rows as Fraction tuples, pivot columns)."""
-        self._back_reduce()
-        pivots = tuple(sorted(self.rows))
         out = []
-        for lead in pivots:
-            row = self.rows[lead]
+        for row in self.reduced_rows():
             v = [_ZERO] * self.ncols
             for j, x in row.items():
-                v[j] = Fraction(x, row[lead])
+                v[j] = x
             out.append(tuple(v))
-        return tuple(out), pivots
+        return tuple(out), tuple(sorted(self.rows))
 
 
 def rank(a):
@@ -485,9 +479,6 @@ class MultiPoly:
         return cls(variables, {exp: Fraction(1)})
 
     # -- predicates ---------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         if not self.terms:
             return -1
@@ -627,9 +618,6 @@ class MultiPoly:
 
     def coefficient_of(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))
-
-    def homogeneous_part(self, d):
-        return MultiPoly(self.variables, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def canonical_terms(self):
         """Terms sorted by graded lex, highest first; canonical for equality."""

@@ -1,8 +1,12 @@
 """Flag prolongation inside csp(X), sl2 structure, and dimension predictors.
 
 All computations are graded: degree-k matrices only populate entries that
-raise the box weight by k, so every kernel stays small.  Dimensions come out
-exact; the closed-form predictors never touch linear algebra.
+raise the box weight by k, so every kernel stays small.  Matrices are sparse
+{(i, j): c} dicts inside the module, and every subspace (graded sp(X), the
+flag layers, the sl2-invariant part and its a/z split) is solved by one
+helper, _preimage; dense Fraction tuples appear only in what is returned.
+Dimensions come out exact; the closed-form predictors never touch linear
+algebra.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from .exact import (
     Echelon,
     frac,
     kernel_basis,
-    rref,
     spans_equal,
     vec,
 )
@@ -28,6 +31,9 @@ from .symbols import (
     index_parity,
     rows_of,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def flatten_matrix(m):
@@ -70,33 +76,98 @@ def _admissible_degrees(x: GradedSymplecticSpace):
 
 
 def _degree_positions(x, k):
-    n = x.dim
-    return tuple(
-        (i, j) for i in range(n) for j in range(n) if x.weights[i] - x.weights[j] == k
-    )
+    """Index pairs (i, j), row by row, with w_i - w_j = k."""
+    at_weight = {}
+    for j, w in enumerate(x.weights):
+        at_weight.setdefault(w, []).append(j)
+    return [(i, j) for i, w in enumerate(x.weights) for j in at_weight.get(w - k, ())]
 
 
-def _pairing_partner(x):
-    """partner[i], sign[i] with sigma(e_i, e_partner) = sign, one per index."""
-    n = x.dim
-    partner = [None] * n
-    sign = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(n):
-            if x.sigma[i][j] != 0:
-                partner[i] = j
-                sign[i] = x.sigma[i][j]
-                break
-    return partner, sign
+# ---------------------------------------------------------------------------
+# sparse matrices {(i, j): c} and the one linear solver over them
+
+def _sparse(m):
+    return {(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}
 
 
-def _weight_neighbors(x):
-    """up[i] / down[i]: index one weight step up or down in the same row."""
-    n = x.dim
-    index_at = {(x.row_index[i], x.weights[i]): i for i in range(n)}
-    up = [index_at.get((x.row_index[i], x.weights[i] + 1)) for i in range(n)]
-    down = [index_at.get((x.row_index[i], x.weights[i] - 1)) for i in range(n)]
-    return up, down
+def _dense(m, n):
+    return tuple(tuple(m.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+
+
+def _subspace(basis, n):
+    return MatrixSubspace((n, n), tuple(_dense(m, n) for m in basis))
+
+
+def _mul(a, b):
+    b_rows = {}
+    for (t, j), y in b.items():
+        b_rows.setdefault(t, []).append((j, y))
+    out = {}
+    for (i, t), x in a.items():
+        for j, y in b_rows.get(t, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return out
+
+
+def _bracket(a, b):
+    """The commutator ab - ba, without zero entries."""
+    out = _mul(a, b)
+    for key, y in _mul(b, a).items():
+        out[key] = out.get(key, 0) - y
+    return {key: c for key, c in out.items() if c}
+
+
+def _preimage(family, image, targets):
+    """The nonzero combinations of family whose image lies in span(targets).
+
+    One equation per matrix position met by an image or a target; the
+    unknowns are the family coefficients, then the target coefficients.
+    Returns one combination per kernel vector of that system, so the result
+    is canonical for the family, its order and the targets' span.
+    """
+    if not family:
+        return []
+    columns = [image(m) for m in family] + [{p: -c for p, c in t.items()} for t in targets]
+    keys = sorted(set().union(*columns))
+    if not keys:
+        # no equation: the kernel basis is the unit vectors, so the family
+        return list(family)
+    out = []
+    for v in kernel_basis([[col.get(p, 0) for col in columns] for p in keys]):
+        combo = {}
+        for c, m in zip(v, family):
+            if c:
+                for p, y in m.items():
+                    combo[p] = combo.get(p, 0) + c * y
+        combo = {p: y for p, y in combo.items() if y}
+        if combo:
+            out.append(combo)
+    return out
+
+
+def _span_reduce(mats, n):
+    """Canonical basis of the span: its reduced row echelon form, with the
+    entries of a matrix read row by row."""
+    return Echelon(n * n, mats).reduced_rows()
+
+
+def _graded_basis(x, k, conformal=False):
+    """Sparse basis of the degree-k part of sp(X), or of csp(X)."""
+    k = frac(k)
+    sigma = _sparse(x.sigma)
+
+    def skew_part(a):
+        # A^T sigma + sigma A = S - S^T with S = sigma A; being skew, it is
+        # fixed by its entries above the diagonal
+        out = {}
+        for (i, j), c in _mul(sigma, a).items():
+            if i != j:
+                key, c = ((i, j), c) if i < j else ((j, i), -c)
+                out[key] = out.get(key, 0) + c
+        return out
+
+    scaling = [{p: c for p, c in sigma.items() if p[0] < p[1]}] if conformal and k == 0 else []
+    return _preimage([{p: _ONE} for p in _degree_positions(x, k)], skew_part, scaling)
 
 
 def graded_symplectic_basis(x: GradedSymplecticSpace, k, conformal=False):
@@ -105,42 +176,7 @@ def graded_symplectic_basis(x: GradedSymplecticSpace, k, conformal=False):
     Only k = 0 admits a conformal part; for k != 0 the scaling term is forced
     to vanish by grading, so conformal makes no difference there.
     """
-    k = frac(k)
-    n = x.dim
-    pos = _degree_positions(x, k)
-    if not pos:
-        return ()
-    with_lambda = conformal and k == 0
-    nvars = len(pos) + (1 if with_lambda else 0)
-    col_of = {p: idx for idx, p in enumerate(pos)}
-    partner, psign = _pairing_partner(x)
-    rows = []
-    # skew-identity rows: (A^T sigma + sigma A)[i][j] = lambda sigma[i][j],
-    # nonzero only where w_i + w_j = -k; sigma has one partner per index
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x.weights[i] + x.weights[j] != -k:
-                continue
-            row = [Fraction(0)] * nvars
-            t = partner[j]
-            if (t, i) in col_of:
-                row[col_of[(t, i)]] += x.sigma[t][j]
-            t = partner[i]
-            if (t, j) in col_of:
-                row[col_of[(t, j)]] += psign[i]
-            if with_lambda and x.sigma[i][j] != 0:
-                row[-1] -= x.sigma[i][j]
-            rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * nvars]
-    sol = kernel_basis(tuple(tuple(r) for r in rows))
-    out = []
-    for v in sol:
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for idx, (i, j) in enumerate(pos):
-            m[i][j] = v[idx]
-        out.append(tuple(tuple(r) for r in m))
-    return tuple(out)
+    return tuple(_dense(m, x.dim) for m in _graded_basis(x, k, conformal))
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +240,6 @@ class FlagProlongation:
         return sub.dim if sub is not None else 0
 
 
-def _commutator(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n)), Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     """Degree-filtered prolongation: keep degree-k conformal matrices whose
     bracket with the shift lands in the previous layer.
@@ -224,72 +249,22 @@ def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     weight spread (or k_max) are computed; there is no early termination.
     """
     n = x.dim
-    delta = x.shift
-    delta_zero = all(delta[i][j] == 0 for i in range(n) for j in range(n))
+    shift = _sparse(x.shift)
     degrees = [d for d in _admissible_degrees(x) if k_max is None or d <= frac(k_max)]
-    layers = {}
-
-    def prev_basis(k):
-        if k == 0:
-            return () if delta_zero else (delta,)
-        if k == HALF:
-            return ()
-        return layers[k - 1].basis
-
-    up, down = _weight_neighbors(x)
-
-    def shift_bracket_entry(a, i, j):
-        # [a, shift][i][j]; the shift has one entry per column/row
-        val = Fraction(0)
-        dj = down[j]
-        if dj is not None and delta[dj][j] != 0:
-            val += a[i][dj] * delta[dj][j]
-        ui = up[i]
-        if ui is not None and delta[i][ui] != 0:
-            val -= delta[i][ui] * a[ui][j]
-        return val
-
+    found = {}
     for k in degrees:
-        csp_part = graded_symplectic_basis(x, k, conformal=True)
-        if not csp_part:
-            layers[k] = MatrixSubspace((n, n), ())
-            continue
-        prev = prev_basis(k)
-        nvars = len(csp_part) + len(prev)
-        target_pos = _degree_positions(x, k - 1)
-        rows = []
-        for (i, j) in target_pos:
-            row = [Fraction(0)] * nvars
-            for idx, a in enumerate(csp_part):
-                row[idx] = shift_bracket_entry(a, i, j)
-            for idx, b in enumerate(prev):
-                row[len(csp_part) + idx] = -b[i][j]
-            rows.append(row)
-        if not rows:
-            rows = [[Fraction(0)] * nvars]
-        sol = kernel_basis(tuple(tuple(r) for r in rows))
-        basis = []
-        for v in sol:
-            m = [[Fraction(0)] * n for _ in range(n)]
-            nonzero = False
-            for idx, a in enumerate(csp_part):
-                if v[idx]:
-                    nonzero = True
-                    for i in range(n):
-                        for j in range(n):
-                            m[i][j] += v[idx] * a[i][j]
-            if nonzero:
-                basis.append(tuple(tuple(r) for r in m))
-        layers[k] = MatrixSubspace((n, n), tuple(basis))
-
-    delta_dim = 0 if delta_zero else 1
+        if k == 0:
+            prev = [shift] if shift else []
+        elif k == HALF:
+            prev = []
+        else:
+            prev = found[k - 1]
+        found[k] = _preimage(
+            _graded_basis(x, k, conformal=True), lambda a: _bracket(a, shift), prev)
+    layers = {k: _subspace(found[k], n) for k in degrees}
+    delta_dim = 1 if shift else 0
     total = delta_dim + sum(layers[d].dim for d in degrees)
     return FlagProlongation(x, tuple(degrees), layers, delta_dim, total)
-
-
-def _bracket_entry(a, b, i, j):
-    n = len(a)
-    return sum((a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,172 +281,49 @@ class AZPDecomposition:
     p: MatrixSubspace
 
 
-def _span_reduce(mats, n):
-    if not mats:
-        return ()
-    flat = [flatten_matrix(m) for m in mats]
-    reduced = rref(flat)[0]
-    out = []
-    for v in reduced:
-        out.append(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
-    return tuple(out)
-
-
 def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
     """Greatest sl2-invariant subspace of nonnegative-degree sp(X), split into
     the row-diagonal part and its complement."""
     n = x.dim
     triple = sl2_triple(x)
+    e, h, f = (_sparse(m) for m in (triple.e, triple.h, triple.f))
+    # e lowers and f raises the weight, so [e, m] and [f, m] never overlap
+    # and one bracket with e + f carries both
+    e_plus_f = {**e, **f}
     degrees = _admissible_degrees(x)
-    fam = {k: list(graded_symplectic_basis(x, k, conformal=False)) for k in degrees}
-    up, down = _weight_neighbors(x)
-    e_mat, f_mat = triple.e, triple.f
-    pos_at = {}
-    for k in degrees:
-        pos_at[k - 1] = _degree_positions(x, k - 1)
-        pos_at[k] = _degree_positions(x, k)
-        pos_at[k + 1] = _degree_positions(x, k + 1)
-
-    def e_bracket(m, i, j):
-        # [e, m][i][j] with e stepping every box one weight down
-        val = Fraction(0)
-        ui = up[i]
-        if ui is not None and e_mat[i][ui] != 0:
-            val += e_mat[i][ui] * m[ui][j]
-        dj = down[j]
-        if dj is not None and e_mat[dj][j] != 0:
-            val -= m[i][dj] * e_mat[dj][j]
-        return val
-
-    def f_bracket(m, i, j):
-        # [f, m][i][j] with f stepping every box one weight up
-        val = Fraction(0)
-        di = down[i]
-        if di is not None and f_mat[i][di] != 0:
-            val += f_mat[i][di] * m[di][j]
-        uj = up[j]
-        if uj is not None and f_mat[uj][j] != 0:
-            val -= m[i][uj] * f_mat[uj][j]
-        return val
-
+    fam = {k: _graded_basis(x, k) for k in degrees}
     changed = True
     while changed:
         changed = False
         for k in degrees:
-            cur = fam.get(k, [])
+            cur = fam[k]
             if not cur:
                 continue
-            lower = fam.get(k - 1, []) if k - 1 >= 0 else []
-            upper = fam.get(k + 1, [])
-            nvars = len(cur) + len(lower) + len(upper)
-            rows = []
-            for (i, j) in pos_at[k - 1]:
-                row = [Fraction(0)] * nvars
-                for idx, m in enumerate(cur):
-                    row[idx] = e_bracket(m, i, j)
-                for idx, m in enumerate(lower):
-                    row[len(cur) + idx] = -m[i][j]
-                rows.append(row)
-            for (i, j) in pos_at[k + 1]:
-                row = [Fraction(0)] * nvars
-                for idx, m in enumerate(cur):
-                    row[idx] = f_bracket(m, i, j)
-                for idx, m in enumerate(upper):
-                    row[len(cur) + len(lower) + idx] = -m[i][j]
-                rows.append(row)
-            if not rows:
-                continue
-            sol = kernel_basis(tuple(tuple(r) for r in rows))
-            new = []
-            for v in sol:
-                m = [[Fraction(0)] * n for _ in range(n)]
-                hit = False
-                for idx, b in enumerate(cur):
-                    if v[idx]:
-                        hit = True
-                        for i in range(n):
-                            for j in range(n):
-                                m[i][j] += v[idx] * b[i][j]
-                if hit:
-                    new.append(tuple(tuple(r) for r in m))
-            new = list(_span_reduce(new, n))
+            near = fam.get(k - 1, []) + fam.get(k + 1, [])
+            new = _span_reduce(_preimage(cur, lambda m: _bracket(e_plus_f, m), near), n)
             if len(new) != len(cur):
                 fam[k] = new
                 changed = True
 
-    l_basis = []
-    for k in degrees:
-        l_basis.extend(fam.get(k, []))
-    l_basis = _span_reduce(l_basis, n)
+    def off_rows(m):
+        return {p: c for p, c in m.items() if x.row_index[p[0]] != x.row_index[p[1]]}
 
-    r_basis = _span_reduce(list(l_basis) + [triple.e, triple.h, triple.f], n)
+    l_basis = _span_reduce([m for k in degrees for m in fam[k]], n)
+    r_basis = _span_reduce(l_basis + [e, h, f], n)
+    # a: elements of r(u^F) preserving every row subspace; z: a meets l(X);
+    # p: the off-row-block projection of l(X)
+    a_basis = _span_reduce(_preimage(r_basis, off_rows, []), n)
+    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis), n)
+    p_basis = _span_reduce([off_rows(m) for m in l_basis], n)
 
-    # a: elements of r(u^F) preserving every row subspace
-    a_basis = ()
-    if r_basis:
-        nvars = len(r_basis)
-        rows = []
-        for j in range(n):
-            for i in range(n):
-                if x.row_index[i] == x.row_index[j]:
-                    continue
-                row = [r_basis[idx][i][j] for idx in range(nvars)]
-                rows.append(row)
-        if rows:
-            sol = kernel_basis(tuple(tuple(r) for r in rows))
-        else:
-            sol = tuple(tuple(Fraction(1) if t == s else Fraction(0) for t in range(nvars)) for s in range(nvars))
-        mats = []
-        for v in sol:
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for idx, b in enumerate(r_basis):
-                if v[idx]:
-                    for i in range(n):
-                        for j in range(n):
-                            m[i][j] += v[idx] * b[i][j]
-            mats.append(tuple(tuple(r) for r in m))
-        a_basis = _span_reduce(mats, n)
-
-    # z: intersection of a with l(X), via flattened coordinates
-    z_basis = ()
-    if a_basis and l_basis:
-        fa = [flatten_matrix(m) for m in a_basis]
-        fl = [flatten_matrix(m) for m in l_basis]
-        cols = tuple(
-            tuple(fa[s][t] for s in range(len(fa))) + tuple(-fl[s][t] for s in range(len(fl)))
-            for t in range(n * n)
-        )
-        mats = []
-        for v in kernel_basis(cols):
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for idx, b in enumerate(a_basis):
-                if v[idx]:
-                    for i in range(n):
-                        for j in range(n):
-                            m[i][j] += v[idx] * b[i][j]
-            mats.append(tuple(tuple(r) for r in m))
-        z_basis = _span_reduce(mats, n)
-
-    # p: off-row-block projection of l(X)
-    p_mats = []
-    for m in l_basis:
-        pm = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if x.row_index[i] != x.row_index[j]:
-                    pm[i][j] = m[i][j]
-        p_mats.append(tuple(tuple(r) for r in pm))
-    p_basis = _span_reduce(p_mats, n)
-
-    shape = (n, n)
     return AZPDecomposition(
         space=x,
         sl2=triple,
-        l_of_x=MatrixSubspace(shape, l_basis),
-        r_of_uf=MatrixSubspace(shape, r_basis),
-        a=MatrixSubspace(shape, a_basis),
-        z=MatrixSubspace(shape, z_basis),
-        p=MatrixSubspace(shape, p_basis),
+        l_of_x=_subspace(l_basis, n),
+        r_of_uf=_subspace(r_basis, n),
+        a=_subspace(a_basis, n),
+        z=_subspace(z_basis, n),
+        p=_subspace(p_basis, n),
     )
 
 

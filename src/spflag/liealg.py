@@ -79,9 +79,6 @@ class GradedLieAlgebra:
                         m[k][j] += ui * x
         return tuple(tuple(r) for r in m)
 
-    def degree_indices(self, d2):
-        return tuple(i for i, d in enumerate(self.degrees2) if d == d2)
-
     def check_graded(self):
         d = self.degrees2
         for i, row in enumerate(self.rows):

@@ -97,18 +97,22 @@ def poly_space(degree, variables, polys):
 def symmetric_form(a, sigma, variables):
     """The quadratic form v -> sigma(v, A v) of a symplectic endomorphism."""
     n = len(sigma)
+    a_rows = [[(m, x) for m, x in enumerate(row) if x] for row in a]
+    sigma_a = {}
+    for i, row in enumerate(sigma):
+        for j, s in enumerate(row):
+            if s:
+                for m, x in a_rows[j]:
+                    sigma_a[i, m] = sigma_a.get((i, m), 0) + s * x
     terms = {}
-    for i in range(n):
-        for m in range(n):
-            c = sum((sigma[i][j] * a[j][m] for j in range(n)), Fraction(0))
-            if c == 0:
-                continue
+    for (i, m), c in sorted(sigma_a.items()):
+        if c:
             exp = [0] * n
             exp[i] += 1
             exp[m] += 1
             exp = tuple(exp)
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-    return MultiPoly(tuple(variables), {e: c for e, c in terms.items() if c != 0})
+            terms[exp] = terms.get(exp, 0) + c
+    return MultiPoly(tuple(variables), terms)
 
 
 def _falling_factor(mu, alpha):
@@ -144,23 +148,22 @@ def standard_prolong(w, k, sigma, variables=None, weights=None):
     monos_2 = monomials_of_degree(n, 2)
 
     def mono_weight(exp):
-        return sum((Fraction(e) * weights[i] for i, e in enumerate(exp)), Fraction(0))
+        return sum((e * weights[i] for i, e in enumerate(exp) if e), Fraction(0))
 
     if weights is not None:
+        weight_2 = {m: mono_weight(m) for m in monos_2}
         quad_weights = []
-        homogeneous = True
         for q in quad.basis:
-            ws = {mono_weight(e) for e in q.terms}
+            ws = {weight_2[e] for e in q.terms}
             if len(ws) != 1:
-                homogeneous = False
+                weights = None
                 break
             quad_weights.append(ws.pop())
-        if not homogeneous:
-            weights = None
 
     if weights is None:
         blocks = {None: list(range(len(monos_f)))}
     else:
+        weight_a = [mono_weight(alpha) for alpha in monos_a]
         blocks = {}
         for idx, mu in enumerate(monos_f):
             blocks.setdefault(mono_weight(mu), []).append(idx)
@@ -170,9 +173,9 @@ def standard_prolong(w, k, sigma, variables=None, weights=None):
         mu_col = {monos_f[i]: c for c, i in enumerate(mu_indices)}
         aux = []          # (alpha_index, quad_index) -> column
         aux_col = {}
-        for ai, alpha in enumerate(monos_a):
+        for ai in range(len(monos_a)):
             for qi in range(quad.dim):
-                if omega is not None and quad_weights[qi] + mono_weight(alpha) != omega:
+                if omega is not None and quad_weights[qi] + weight_a[ai] != omega:
                     continue
                 aux_col[(ai, qi)] = len(mu_indices) + len(aux)
                 aux.append((ai, qi))

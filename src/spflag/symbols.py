@@ -67,7 +67,8 @@ def make_symbol(components):
 _TERM = re.compile(r"^(?:(\d+)\s*\*\s*)?(D|R)\s*\((.*)\)$")
 
 # Largest total dim_x (multiplicity times boxes, summed over the terms) that
-# parse_symbol accepts; it is checked before any component is expanded.
+# parse_symbol accepts, checked before any component is expanded; also the
+# largest 2n - 6 that enumerate_symbols accepts.
 MAX_DIM_X = 1000
 
 
@@ -229,10 +230,6 @@ def distribution_rank(sym: FlagSymbol) -> int:
     return 1 + sum(1 for w in box_weights(sym) if w == 0 or w == HALF)
 
 
-def max_box_weight(sym: FlagSymbol) -> Fraction:
-    return max(r.top for r in rows_of(sym))
-
-
 # ---------------------------------------------------------------------------
 # finiteness
 
@@ -285,7 +282,10 @@ def modify_symbol(sym: FlagSymbol, pad_count: int, rank_parity: str, nu) -> Flag
 
 def enumerate_symbols(rank: int, n: int):
     """All symbols of corank-1 distributions of the given rank on an
-    n-dimensional space (so the model space has dimension 2n - 6)."""
+    n-dimensional space (so the model space has dimension 2n - 6), within
+    the MAX_DIM_X budget."""
+    if 2 * n - 6 > MAX_DIM_X:
+        raise ConstraintError(f"n={n} gives dim_x {2 * n - 6}, above the limit of {MAX_DIM_X}")
     if rank == 2:
         if n < 4:
             raise ConstraintError("rank-2 enumeration needs n >= 4")
@@ -319,14 +319,6 @@ class GradedSymplecticSpace:
     @property
     def dim(self):
         return len(self.labels)
-
-    def basis_indices_with_weight(self, w):
-        w = frac(w)
-        return tuple(i for i, wi in enumerate(self.weights) if wi == w)
-
-    def indices_with_weight_at_least(self, w):
-        w = frac(w)
-        return tuple(i for i, wi in enumerate(self.weights) if wi >= w)
 
 
 def build_model_space(sym: FlagSymbol) -> GradedSymplecticSpace:

@@ -77,6 +77,17 @@ def test_parse_rejects_symbols_over_the_size_budget(capsys, spec):
     assert err == f"error: symbol has dim_x above the limit of {MAX_DIM_X}\n"
 
 
+@pytest.mark.parametrize("argv,n", [
+    (("symbol", "enumerate", "--rank", "2"), 100000),  # used to print R(199993/2)
+    (("symbol", "enumerate", "--rank", "3"), (MAX_DIM_X + 6) // 2 + 1),
+    (("prolong", "flag"), (MAX_DIM_X + 6) // 2 + 1),
+])
+def test_n_over_the_size_budget_is_rejected(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert (code, out) == (1, "")
+    assert err == f"error: n={n} gives dim_x {2 * n - 6}, above the limit of {MAX_DIM_X}\n"
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 1

@@ -1,5 +1,7 @@
 """Flag prolongation, sl2 structure, a/z/p decomposition, dimension predictors."""
+import hashlib
 import random
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -241,6 +243,54 @@ def test_l_splits_into_z_and_p(text):
         [flatten_matrix(m) for m in dec.l_of_x.basis],
         [flatten_matrix(m) for m in list(dec.z.basis) + list(dec.p.basis)],
     )
+
+
+SL2_SAMPLES = ["D(1,2)", "D(2,3)", "D(3,4)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"]
+
+
+def _degrees(x, m):
+    n = x.dim
+    return {x.weights[i] - x.weights[j] for i in range(n) for j in range(n) if m[i][j] != 0}
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES)
+def test_l_is_sl2_invariant_degree_by_degree(text):
+    x = space(text)
+    dec = decomposition(text)
+    for m in dec.l_of_x.basis:
+        (k,) = _degrees(x, m)
+        assert k >= 0
+        for op, step in ((dec.sl2.e, -1), (dec.sl2.f, 1)):
+            image = commutator(op, m)
+            assert _degrees(x, image) <= {k + step}
+            assert dec.l_of_x.contains(image)
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES)
+def test_z_is_a_meet_l_by_dimension(text):
+    dec = decomposition(text)
+    both = [flatten_matrix(m) for m in dec.a.basis + dec.l_of_x.basis]
+    assert dec.z.dim == dec.a.dim + dec.l_of_x.dim - rank(both)
+
+
+# SHA-256 of repr((flag_prolong layer bases, every decompose_azp field)),
+# recorded before the sparse rewrite of flagprolong.  The Tanaka g0 basis,
+# and so every assembled structure constant, is built on these exact bases.
+PINNED_BASES = {
+    "D(2,3)": "7fac80846811a185551f86b1c8b924d6fc25b873c25cc2deecda5bddf2d88721",
+    "D(3,4)": "3561e604e47014b044548ef605c092d6f98af20626805db0cd53a6a1eb1329b7",
+    "D(1,2)+R(3/2)": "cfe3c7c8c2cf3ae5b6fb0e7dcfb13c8f248af86d3d33cb8050d7e8afc9c84ece",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_BASES))
+def test_bases_are_pinned(text):
+    fp = prolong(text)
+    dec = decomposition(text)
+    layers = tuple(fp.layers[d].basis for d in fp.degrees)
+    azp = tuple(getattr(dec, f.name) for f in fields(dec))
+    digest = hashlib.sha256(repr((layers, azp)).encode()).hexdigest()
+    assert digest == PINNED_BASES[text]
 
 
 def _poly_constant(c):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spflag.errors import ConstraintError, SymbolSyntaxError, UnsupportedRank
+from spflag import symbols
 from spflag.exact import is_zero_vector, mat_mul, rank, transpose
 from spflag.symbols import (
     MAX_DIM_X,
@@ -214,6 +215,19 @@ def test_enumerate_rank3():
         for s in enumerate_symbols(3, n):
             assert dim_x(s) == 2 * n - 6
             assert distribution_rank(s) == 3
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_enumerate_checks_the_budget_before_building(monkeypatch, rank):
+    n = (MAX_DIM_X + 6) // 2
+    assert all(dim_x(s) == MAX_DIM_X for s in enumerate_symbols(rank, n))
+
+    def no_build(components):
+        raise AssertionError("built a symbol over the budget")
+
+    monkeypatch.setattr(symbols, "make_symbol", no_build)
+    with pytest.raises(ConstraintError, match="above the limit"):
+        enumerate_symbols(rank, n + 1)
 
 
 def test_enumerate_unsupported():

@@ -452,7 +452,7 @@ class _ComplementJets:
     def ensure(self, order):
         while self.order < order:
             p = self.order + 1
-            extended = []
+            rhss = []
             for jet in self.jets:
                 rhs = []
                 for pr in self.coeff_rows:
@@ -460,9 +460,22 @@ class _ComplementJets:
                     for q in range(1, min(p, len(pr) - 1) + 1):
                         s -= sum(x * y for x, y in zip(pr[q], jet[p - q]) if x and y)
                     rhs.append(s)
-                sol = solve_linear(self.r0, rhs)
-                if sol is None:
-                    raise NonRegularPoint("complement section jet does not extend")
+                rhss.append(rhs)
+            # one elimination of r0 augmented by every right-hand side; a
+            # pivot right of r0 marks a jet that does not extend, and the
+            # pivot rows give each solution with the free variables at 0
+            n = self.n
+            reduced = Echelon(n + len(rhss), [
+                list(row) + [rhs[r] for rhs in rhss] for r, row in enumerate(self.r0)
+            ]).reduced_rows()
+            pivots = [(min(row), row) for row in reduced]
+            if any(lead >= n for lead, _ in pivots):
+                raise NonRegularPoint("complement section jet does not extend")
+            extended = []
+            for c, jet in enumerate(self.jets):
+                sol = [ZERO] * n
+                for lead, row in pivots:
+                    sol[lead] = row.get(n + c, ZERO)
                 extended.append(jet + [tuple(sol)])
             for k in self.kernel:
                 extended.append([zero_vector(self.n)] * p + [k])

@@ -105,7 +105,10 @@ def _emit(args, report, lines):
 def _resolve_kmax(args, fallback=6):
     env = os.environ.get("SP_KMAX")
     if env is not None:
-        kmax = int(env)
+        try:
+            kmax = int(env)
+        except ValueError:
+            raise _UsageError(f"SP_KMAX must be an integer, got {env!r}") from None
     elif args.kmax is not None:
         kmax = args.kmax
     else:
@@ -422,10 +425,10 @@ def _cmd_secant(args):
             if not entry["hankel_certified"] or not entry["hankel_matches_row_ideal"]:
                 failed = True
         if tangential:
+            # for j = 0 the tangential variety is the row curve itself
             j = int(comp.l - comp.s - 1)
-            var = base if j == 0 else developable_sampler(base, j)
-            entry["dim_tangential_ideal"] = secant_ideal(var, k + 2, k,
-                                                         seed=args.seed).dim
+            entry["dim_tangential_ideal"] = ideal.dim if j == 0 else secant_ideal(
+                developable_sampler(base, j), k + 2, k, seed=args.seed).dim
         rows.append(entry)
         cells = [f"k={k}", f"degree={k + 2}", f"dim_row_ideal={ideal.dim}"]
         if entry["dim_hankel"] is not None:

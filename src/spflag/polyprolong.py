@@ -9,17 +9,18 @@ of the variety's parametrization, so randomness never leaks into results.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationFailure, RangeError
 from .exact import (
+    Echelon,
     MultiPoly,
     det_generic,
     kernel_basis,
     monomials_of_degree,
-    rref,
     span_contains,
     spans_equal,
 )
@@ -74,22 +75,22 @@ class PolySpace:
 
 
 def poly_space(degree, variables, polys):
-    """Span-reduce to a canonical independent basis; validates homogeneity."""
+    """Span-reduce to a canonical independent basis; validates homogeneity.
+
+    The basis is the reduced row echelon form of the coefficient rows with
+    the monomials in graded-lex descending order (as monomials_of_degree
+    lists them); the column of x^e is keyed by -e, whose ascending order is
+    that one, so no row is ever written out over all monomials."""
     variables = tuple(variables)
-    monos = monomials_of_degree(len(variables), degree)
-    vecs = []
+    rows = []
     for p in polys:
-        if not p.terms:
-            continue
         if any(sum(e) != degree for e in p.terms):
             raise ValueError("inhomogeneous polynomial for this space")
-        vecs.append(p.coefficient_vector(monos))
-    if not vecs:
-        return PolySpace(degree, variables, ())
-    reduced = rref(vecs)[0]
+        rows.append({tuple(-x for x in e): c for e, c in p.terms.items()})
     basis = tuple(
-        MultiPoly(variables, {m: c for m, c in zip(monos, row) if c != 0})
-        for row in reduced
+        MultiPoly(variables, {tuple(-x for x in key): c for key, c in row.items()})
+        # the column count matters only to Echelon.kernel(), unused here
+        for row in Echelon(None, rows).reduced_rows()
     )
     return PolySpace(degree, variables, basis)
 
@@ -115,94 +116,84 @@ def symmetric_form(a, sigma, variables):
     return MultiPoly(tuple(variables), terms)
 
 
-def _falling_factor(mu, alpha):
-    # coefficient of x^(mu-alpha) in d^alpha(x^mu)
-    c = 1
-    for m_e, a_e in zip(mu, alpha):
-        if a_e > m_e:
-            return 0
-        for t in range(a_e):
-            c *= m_e - t
-    return c
+def _weight(terms, weights):
+    """The weight shared by every exponent in terms, or None when they
+    differ; an empty polynomial is homogeneous of every weight, so 0."""
+    ws = {sum(e * w for e, w in zip(exp, weights) if e) for exp in terms}
+    if len(ws) > 1:
+        return None
+    return ws.pop() if ws else 0
+
+
+def _prolong_once(space, weights):
+    """The next level of the chain: the polynomials f whose first partials
+    all lie in space.  A tuple h_i = sum_g c_ig g of elements of space with
+    d_l h_i = d_i h_l is the gradient of f = sum_i x_i h_i / deg f (Euler),
+    so the unknowns are the c_ig and the equations compare the coefficients
+    of d_l h_i - d_i h_l for i < l."""
+    n = len(space.variables)
+    basis = [g.terms for g in space.basis]
+    # partials[g][l]: the terms of d_l g
+    partials = []
+    for terms in basis:
+        d = [{} for _ in range(n)]
+        for exp, c in terms.items():
+            for l, e in enumerate(exp):
+                if e:
+                    d[l][exp[:l] + (e - 1,) + exp[l + 1:]] = c * e
+        partials.append(d)
+    unknowns = [(i, g) for i in range(n) for g in range(len(basis))]
+    # the weight of x_i g splits the unknowns when every g is homogeneous
+    g_weights = None if weights is None else [_weight(t, weights) for t in basis]
+    if g_weights is None or None in g_weights:
+        blocks = [unknowns]
+    else:
+        by_weight = {}
+        for i, g in unknowns:
+            by_weight.setdefault(weights[i] + g_weights[g], []).append((i, g))
+        blocks = list(by_weight.values())
+    scale = Fraction(1, space.degree + 1)
+    polys = []
+    for block in blocks:
+        # one row per (i < l, monomial) met by some partial of the block
+        rows = {}
+        for col, (i, g) in enumerate(block):
+            for l in range(n):
+                if l == i:
+                    continue
+                pair, sign = ((i, l), 1) if i < l else ((l, i), -1)
+                for exp, c in partials[g][l].items():
+                    rows.setdefault((pair, exp), [0] * len(block))[col] = sign * c
+        # with no equation every unknown is free
+        for v in kernel_basis(list(rows.values()) or [[0] * len(block)]):
+            terms = {}
+            for (i, g), c in zip(block, v):
+                if c:
+                    for exp, x in basis[g].items():
+                        up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                        terms[up] = terms.get(up, 0) + scale * c * x
+            polys.append(MultiPoly(space.variables, terms))
+    return polys
 
 
 def standard_prolong(w, k, sigma, variables=None, weights=None):
     """Homogeneous degree-(k+2) polynomials whose order-k partials all lie in
     the quadratic-form space of w; k = 0 gives that quadratic space itself.
 
-    When per-variable weights are supplied and the quadratic space is
-    weight-homogeneous, the kernel splits into independent weight blocks.
+    Walks the chain g^(j) = {f : d_i f in g^(j-1) for every i} (Sternberg
+    1964) from the quadratic space.  When per-variable weights are supplied
+    and a level is weight-homogeneous, the next one splits into independent
+    weight blocks.
     """
-    if isinstance(w, MatrixSubspace):
-        mats = w.basis
-    else:
-        mats = tuple(w)
-    n = len(sigma)
+    mats = w.basis if isinstance(w, MatrixSubspace) else tuple(w)
     if variables is None:
-        variables = default_variables(n)
-    quad = poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats])
-    if k == 0:
-        return quad
-    monos_f = monomials_of_degree(n, k + 2)
-    monos_a = monomials_of_degree(n, k)
-    monos_2 = monomials_of_degree(n, 2)
-
-    def mono_weight(exp):
-        return sum((e * weights[i] for i, e in enumerate(exp) if e), Fraction(0))
-
-    if weights is not None:
-        weight_2 = {m: mono_weight(m) for m in monos_2}
-        quad_weights = []
-        for q in quad.basis:
-            ws = {weight_2[e] for e in q.terms}
-            if len(ws) != 1:
-                weights = None
-                break
-            quad_weights.append(ws.pop())
-
-    if weights is None:
-        blocks = {None: list(range(len(monos_f)))}
-    else:
-        weight_a = [mono_weight(alpha) for alpha in monos_a]
-        blocks = {}
-        for idx, mu in enumerate(monos_f):
-            blocks.setdefault(mono_weight(mu), []).append(idx)
-
-    out_polys = []
-    for omega, mu_indices in blocks.items():
-        mu_col = {monos_f[i]: c for c, i in enumerate(mu_indices)}
-        aux = []          # (alpha_index, quad_index) -> column
-        aux_col = {}
-        for ai in range(len(monos_a)):
-            for qi in range(quad.dim):
-                if omega is not None and quad_weights[qi] + weight_a[ai] != omega:
-                    continue
-                aux_col[(ai, qi)] = len(mu_indices) + len(aux)
-                aux.append((ai, qi))
-        nvars = len(mu_indices) + len(aux)
-        rows = []
-        for ai, alpha in enumerate(monos_a):
-            for m in monos_2:
-                mu = tuple(a + b for a, b in zip(alpha, m))
-                if mu not in mu_col:
-                    continue
-                row = [Fraction(0)] * nvars
-                row[mu_col[mu]] = Fraction(_falling_factor(mu, alpha))
-                for qi in range(quad.dim):
-                    col = aux_col.get((ai, qi))
-                    if col is not None:
-                        row[col] = -quad.basis[qi].terms.get(m, Fraction(0))
-                rows.append(row)
-        if not rows:
-            continue
-        for v in kernel_basis(tuple(tuple(r) for r in rows)):
-            terms = {}
-            for c, i in enumerate(mu_indices):
-                if v[c] != 0:
-                    terms[monos_f[i]] = v[c]
-            if terms:
-                out_polys.append(MultiPoly(tuple(variables), terms))
-    return poly_space(k + 2, variables, out_polys)
+        variables = default_variables(len(sigma))
+    space = poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats])
+    for degree in range(3, k + 3):
+        if not space.dim:
+            return PolySpace(k + 2, space.variables, ())
+        space = poly_space(degree, space.variables, _prolong_once(space, weights))
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +205,7 @@ class VarietySampler:
     coords: tuple     # MultiPoly over params, one per ambient coordinate
     ambient: tuple    # ambient variable names
     degree: int       # bound on the coordinate degrees
+    param_weights: tuple = None   # weight of each parameter, if any is known
 
 
 def shift_orbit_sampler(x: GradedSymplecticSpace, component, kind="F", restricted=False):
@@ -251,7 +243,7 @@ def shift_orbit_sampler(x: GradedSymplecticSpace, component, kind="F", restricte
         for pos, i in enumerate(boxes):
             full[i] = curve[pos]
         coords = tuple(full)
-    return VarietySampler(params, coords, ambient, len(boxes) - 1)
+    return VarietySampler(params, coords, ambient, len(boxes) - 1, (1,))
 
 
 def developable_sampler(base: VarietySampler, j):
@@ -269,7 +261,8 @@ def developable_sampler(base: VarietySampler, j):
             total = total + deriv.subs({"t": t_new}) * u_i
             deriv = deriv.derivative("t")
         coords.append(total)
-    return VarietySampler(params, tuple(coords), base.ambient, base.degree + 1)
+    return VarietySampler(params, tuple(coords), base.ambient, base.degree + 1,
+                          (1,) + tuple(range(j + 1)))
 
 
 def _secant_parametrization(v: VarietySampler, k):
@@ -304,39 +297,50 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42, max_rounds=4):
 
     Sampling bounds the space from above; symbolic certification of every
     kernel element makes the result exact.  More samples are added until all
-    kernel elements certify.
+    kernel elements certify.  When every coordinate is homogeneous under the
+    parameter weights, the variety is invariant under the matching torus, so
+    its ideal is spanned by weight-homogeneous polynomials: each weight block
+    of monomials is solved on its own, on one shared set of sample points.
     """
-    nvars = len(v.coords)
-    monos = monomials_of_degree(nvars, degree)
+    coord_weights = [None]
+    if v.param_weights is not None:
+        coord_weights = [_weight(c.terms, v.param_weights) for c in v.coords]
+    split = None not in coord_weights
+    blocks = {}
+    for m in monomials_of_degree(len(v.coords), degree):
+        blocks.setdefault(_weight((m,), coord_weights) if split else None, []).append(m)
+    blocks = list(blocks.values())
     rng = random.Random(seed)
     all_params, point = _secant_parametrization(v, k)
-    rows = []
-    need = len(monos) + 8
-    for round_no in range(max_rounds):
-        while len(rows) < need:
+    subs_map = {name: p for name, p in zip(v.ambient, point)}
+    points = []
+    need = max(map(len, blocks), default=0) + 8
+    polys = []
+    for _ in range(max_rounds):
+        while len(points) < need:
             vals = {}
             for copy in range(k + 1):
                 for name in v.params:
                     vals[f"{name}__{copy}"] = _random_rational(rng)
             for i in range(1, k + 1):
                 vals[f"c__{i}"] = _random_rational(rng)
-            pt = [c.subs(vals) for c in point]
-            row = []
-            for m in monos:
-                val = Fraction(1)
-                for coord, e in zip(pt, m):
-                    if e:
-                        val *= coord ** e
-                row.append(val)
-            rows.append(tuple(row))
-        kern = kernel_basis(tuple(rows))
-        polys = [
-            MultiPoly(v.ambient, {m: c for m, c in zip(monos, vec) if c != 0})
-            for vec in kern
-        ]
-        subs_map = {name: p for name, p in zip(v.ambient, point)}
-        if all(not p.subs(subs_map).terms for p in polys if p.terms):
+            points.append([c.subs(vals) for c in point])
+        uncertified = []
+        for block in blocks:
+            kern = kernel_basis(tuple(
+                tuple(math.prod(x ** e for x, e in zip(pt, m) if e) for m in block)
+                for pt in points))
+            found = [
+                MultiPoly(v.ambient, {m: c for m, c in zip(block, vec) if c != 0})
+                for vec in kern
+            ]
+            if all(not p.subs(subs_map).terms for p in found):
+                polys.extend(found)
+            else:
+                uncertified.append(block)
+        if not uncertified:
             return poly_space(degree, v.ambient, polys)
+        blocks = uncertified
         need *= 2
     raise CertificationFailure(
         f"secant ideal sampling did not stabilize after {max_rounds} rounds"

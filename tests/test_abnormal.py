@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spflag.abnormal import (
     FlagCurve,
+    _ComplementJets,
     characteristic_direction,
     degeneracy_locus,
     derived_filtration,
@@ -24,7 +25,15 @@ from spflag.abnormal import (
     transform_curve,
 )
 from spflag.errors import NonRegularPoint, NonSymplecticFlag, NotInAnnihilator
-from spflag.exact import MultiPoly, frac, kernel_basis, rref, span_contains, spans_equal
+from spflag.exact import (
+    MultiPoly,
+    frac,
+    kernel_basis,
+    rref,
+    solve_linear,
+    span_contains,
+    spans_equal,
+)
 from spflag.liealg import FlatModel, algebra_from_entries, flat_model
 from spflag.symbols import build_model_space, parse_symbol, render_symbol
 
@@ -360,6 +369,50 @@ def test_extract_flags_rank_drop_at_origin():
     zero = MultiPoly.constant(TVAR, 0)
     with pytest.raises(NonRegularPoint):
         extract_flag_symbol(((one, zero), (zero, T)), rank_parity="odd", sigma=sigma)
+
+
+def reference_jets(cols, sigma, order):
+    """Complement jets extended one jet at a time with solve_linear."""
+    jets = _ComplementJets(cols, sigma)
+    r0, n = jets.r0, jets.n
+    out = [[k] for k in jets.kernel]
+    for p in range(1, order + 1):
+        extended = []
+        for jet in out:
+            rhs = [-sum((x * y for q in range(1, min(p, len(pr) - 1) + 1)
+                         for x, y in zip(pr[q], jet[p - q])), Fraction(0))
+                   for pr in jets.coeff_rows]
+            sol = solve_linear(r0, rhs)
+            if sol is None:
+                raise NonRegularPoint("complement section jet does not extend")
+            extended.append(jet + [tuple(sol)])
+        out = extended + [[(Fraction(0),) * n] * p + [k] for k in jets.kernel]
+    return out
+
+
+def test_complement_jets_match_one_solve_per_jet():
+    import random
+    rng = random.Random(11)
+    x = build_model_space(parse_symbol("D(1,2)"))
+    for _ in range(5):
+        cols = tuple(
+            tuple(MultiPoly(TVAR, {(q,): Fraction(rng.randint(-3, 3)) for q in range(3)})
+                  for _ in range(x.dim))
+            for _ in range(2))
+        jets = _ComplementJets(cols, x.sigma)
+        jets.ensure(3)
+        assert jets.jets == reference_jets(cols, x.sigma, 3)
+
+
+def test_complement_jets_rank_drop_raises():
+    # the column t*e0 vanishes at t = 0, so its complement jumps there
+    sigma = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
+    zero = MultiPoly.constant(TVAR, 0)
+    jets = _ComplementJets(((T, zero),), sigma)
+    with pytest.raises(NonRegularPoint):
+        reference_jets(((T, zero),), sigma, 1)
+    with pytest.raises(NonRegularPoint):
+        jets.ensure(1)
 
 
 def test_extract_flags_nonfilling_curve():

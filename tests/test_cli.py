@@ -163,6 +163,14 @@ def test_kmax_below_one_is_a_usage_error(capsys, monkeypatch, kmax):
     assert err == f"usage error: kmax must be at least 1, got {kmax}\n"
 
 
+@pytest.mark.parametrize("kmax", ["abc", "2.5", ""])
+def test_kmax_env_not_an_integer_is_a_usage_error(capsys, monkeypatch, kmax):
+    monkeypatch.setenv("SP_KMAX", kmax)
+    code, out, err = run(capsys, "prolong", "tanaka", "--spec", "R(3/2)", "--json")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: SP_KMAX must be an integer, got {kmax!r}\n"
+
+
 def test_prolong_flag_matches_api(capsys):
     code, out, _ = run(capsys, "prolong", "flag", "--spec", "D(2,3)", "--json")
     assert code == 0

@@ -355,6 +355,19 @@ def test_det_matches_sympy():
             assert det(a) == from_sympy(to_sympy(sympy, a).det())
 
 
+def test_pfaffian_squares_to_sympy_det():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8128)
+    for n in range(9):
+        for _ in range(4):
+            a = random_skew(rng, n)
+            pf = pfaffian(a)
+            if n % 2:
+                assert pf == 0
+            else:
+                assert pf ** 2 == from_sympy(to_sympy(sympy, a, n).det())
+
+
 def test_solve_linear_matches_sympy_consistency():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(77)

@@ -1,14 +1,18 @@
 """Polynomial prolongations, secant and Hankel ideals, theorem cross-checks."""
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from spflag.errors import RangeError
-from spflag.exact import MultiPoly
+from spflag import polyprolong
+from spflag.exact import MultiPoly, kernel_basis, monomials_of_degree
 from spflag.flagprolong import decompose_azp, graded_symplectic_basis
 from spflag.liealg import heisenberg_from_space
 from spflag.polyprolong import (
+    VarietySampler,
+    _secant_parametrization,
     developable_sampler,
     embed_poly,
     hankel_minor_space,
@@ -242,3 +246,218 @@ def test_verify_report_quartic_tower():
         "tangential_secant": True,
         "row_secant_inclusion": True,
     }
+
+
+# --- oracles: the dense all-at-once kernels the chain and block solvers replaced
+
+def _falling_factor(mu, alpha):
+    # coefficient of x^(mu-alpha) in d^alpha(x^mu)
+    c = 1
+    for m_e, a_e in zip(mu, alpha):
+        if a_e > m_e:
+            return 0
+        for t in range(a_e):
+            c *= m_e - t
+    return c
+
+
+def reference_standard_prolong(w, k, sigma, variables=None, weights=None):
+    """One kernel for the whole degree: unknowns are the coefficients of f and,
+    for every order-k multi-index alpha, those of d^alpha f in the quadratic
+    space; equations match the two expressions of d^alpha f."""
+    mats = tuple(w.basis) if hasattr(w, "basis") else tuple(w)
+    n = len(sigma)
+    if variables is None:
+        variables = tuple(f"x{i}" for i in range(n))
+    quad = poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats])
+    if k == 0:
+        return quad
+    monos_f = monomials_of_degree(n, k + 2)
+    monos_a = monomials_of_degree(n, k)
+    monos_2 = monomials_of_degree(n, 2)
+
+    def mono_weight(exp):
+        return sum((e * weights[i] for i, e in enumerate(exp) if e), Fraction(0))
+
+    if weights is not None:
+        weight_2 = {m: mono_weight(m) for m in monos_2}
+        quad_weights = []
+        for q in quad.basis:
+            ws = {weight_2[e] for e in q.terms}
+            if len(ws) != 1:
+                weights = None
+                break
+            quad_weights.append(ws.pop())
+    if weights is None:
+        blocks = {None: list(range(len(monos_f)))}
+    else:
+        weight_a = [mono_weight(alpha) for alpha in monos_a]
+        blocks = {}
+        for idx, mu in enumerate(monos_f):
+            blocks.setdefault(mono_weight(mu), []).append(idx)
+    out_polys = []
+    for omega, mu_indices in blocks.items():
+        mu_col = {monos_f[i]: c for c, i in enumerate(mu_indices)}
+        aux_col = {}
+        for ai in range(len(monos_a)):
+            for qi in range(quad.dim):
+                if omega is not None and quad_weights[qi] + weight_a[ai] != omega:
+                    continue
+                aux_col[(ai, qi)] = len(mu_indices) + len(aux_col)
+        nvars = len(mu_indices) + len(aux_col)
+        rows = []
+        for ai, alpha in enumerate(monos_a):
+            for m in monos_2:
+                mu = tuple(a + b for a, b in zip(alpha, m))
+                if mu not in mu_col:
+                    continue
+                row = [Fraction(0)] * nvars
+                row[mu_col[mu]] = Fraction(_falling_factor(mu, alpha))
+                for qi in range(quad.dim):
+                    col = aux_col.get((ai, qi))
+                    if col is not None:
+                        row[col] = -quad.basis[qi].terms.get(m, Fraction(0))
+                rows.append(row)
+        if not rows:
+            continue
+        for v in kernel_basis(tuple(tuple(r) for r in rows)):
+            terms = {monos_f[i]: v[c] for c, i in enumerate(mu_indices) if v[c] != 0}
+            if terms:
+                out_polys.append(MultiPoly(tuple(variables), terms))
+    return poly_space(k + 2, variables, out_polys)
+
+
+STANDARD_REFERENCE_CASES = [
+    ("D(1,1)", 3), ("D(2,2)", 3), ("D(0,0)", 2), ("D(3,4)", 2), ("D(1,2)+R(3/2)", 2),
+]
+
+
+@pytest.mark.parametrize("text,kmax", STANDARD_REFERENCE_CASES)
+def test_standard_prolong_matches_dense_reference(text, kmax):
+    x = space(text)
+    dec = decomposition(text)
+    for w in (dec.p, dec.l_of_x):
+        for k in range(kmax + 1):
+            got = standard_prolong(w, k, x.sigma, weights=x.weights)
+            want = reference_standard_prolong(w, k, x.sigma, weights=x.weights)
+            assert repr(got.basis) == repr(want.basis)
+            if kmax == 3:
+                flat = standard_prolong(w, k, x.sigma)
+                assert repr(flat.basis) == repr(want.basis)
+
+
+def test_standard_prolong_matches_dense_reference_on_sp2():
+    x = space("D(1,0)")
+    sp2 = []
+    for k in (-2, -1, 0, 1, 2):
+        sp2.extend(graded_symplectic_basis(x, k, conformal=False))
+    for k in range(4):
+        got = standard_prolong(tuple(sp2), k, x.sigma, weights=x.weights)
+        assert got.dim == k + 3
+        assert repr(got.basis) == repr(
+            reference_standard_prolong(tuple(sp2), k, x.sigma, weights=x.weights).basis)
+
+
+def test_standard_prolong_inhomogeneous_space_matches_dense_reference():
+    # the sum of a degree-0 and a degree-1 element is not weight-homogeneous,
+    # so the chain keeps one block
+    x = space("D(1,1)")
+    mixed = [
+        tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
+        for a, b in zip(graded_symplectic_basis(x, 0, conformal=False),
+                        graded_symplectic_basis(x, 1, conformal=False))
+    ]
+    for k in range(3):
+        got = standard_prolong(mixed, k, x.sigma, weights=x.weights)
+        want = reference_standard_prolong(mixed, k, x.sigma, weights=x.weights)
+        assert repr(got.basis) == repr(want.basis)
+
+
+def reference_secant_ideal(v, degree, k, seed=42, max_rounds=4):
+    """One kernel over all degree-`degree` monomials, sampled and certified."""
+    nvars = len(v.coords)
+    monos = monomials_of_degree(nvars, degree)
+    rng = random.Random(seed)
+    all_params, point = _secant_parametrization(v, k)
+    rows = []
+    need = len(monos) + 8
+    for round_no in range(max_rounds):
+        while len(rows) < need:
+            vals = {}
+            for copy in range(k + 1):
+                for name in v.params:
+                    vals[f"{name}__{copy}"] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+            for i in range(1, k + 1):
+                vals[f"c__{i}"] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+            pt = [c.subs(vals) for c in point]
+            row = []
+            for m in monos:
+                val = Fraction(1)
+                for coord, e in zip(pt, m):
+                    if e:
+                        val *= coord ** e
+                row.append(val)
+            rows.append(tuple(row))
+        kern = kernel_basis(tuple(rows))
+        polys = [
+            MultiPoly(v.ambient, {m: c for m, c in zip(monos, vec) if c != 0})
+            for vec in kern
+        ]
+        subs_map = {name: p for name, p in zip(v.ambient, point)}
+        if all(not p.subs(subs_map).terms for p in polys if p.terms):
+            return poly_space(degree, v.ambient, polys)
+        need *= 2
+    raise AssertionError("reference sampling did not stabilize")
+
+
+def count_kernels(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return kernel_basis(a)
+
+    monkeypatch.setattr(polyprolong, "kernel_basis", counted)
+    return calls
+
+
+def exp_curve(coeffs):
+    """VarietySampler of y_i = p(t)^i / i! for the polynomial p with the
+    given coefficients, i = 0..3, with t of weight 1."""
+    t = MultiPoly.variable(("t",), "t")
+    p = sum((t ** e * c for e, c in enumerate(coeffs)), MultiPoly.constant(("t",), 0))
+    coords, fact = [], 1
+    for i in range(4):
+        fact *= max(i, 1)
+        coords.append(p ** i * Fraction(1, fact))
+    return VarietySampler(("t",), tuple(coords), ("y0", "y1", "y2", "y3"), 3, (1,))
+
+
+@pytest.mark.parametrize("text,j,kmax", [
+    ("D(2,3)", 0, 2), ("D(3,4)", 0, 2), ("D(3,5)", 1, 1),
+])
+def test_secant_ideal_matches_one_block_reference(monkeypatch, text, j, kmax):
+    base = shift_orbit_sampler(space(text), 0, "F", restricted=True)
+    var = base if j == 0 else developable_sampler(base, j)
+    for k in range(kmax + 1):
+        want = reference_secant_ideal(var, k + 2, k)
+        calls = count_kernels(monkeypatch)
+        got = secant_ideal(var, k + 2, k)
+        assert repr(got.basis) == repr(want.basis)
+        assert len(calls) > 1   # one kernel per weight block
+        monkeypatch.undo()
+
+
+def test_secant_ideal_inhomogeneous_curve_keeps_one_block(monkeypatch):
+    # y_i = (1+t)^i/i! is not homogeneous in t, so there is a single block
+    curve = exp_curve([1, 1])
+    for k in range(3):
+        want = reference_secant_ideal(curve, k + 2, k)
+        calls = count_kernels(monkeypatch)
+        got = secant_ideal(curve, k + 2, k)
+        assert repr(got.basis) == repr(want.basis)
+        assert len(calls) == 1
+        monkeypatch.undo()
+    # the same curve through t -> t - 1 is the weight-homogeneous t^i/i!
+    assert repr(secant_ideal(exp_curve([0, 1]), 2, 0).basis) == repr(
+        secant_ideal(curve, 2, 0).basis)

@@ -4,13 +4,14 @@ symbol from a polynomial curve of subspaces.
 
 All Hamiltonian bookkeeping is reduced to structure constants: the linear
 form of a vector Y is lambda(Y) in dual coordinates, and derivatives along
-kernel fields expand through brackets.  Curves are matrices of polynomials
-in t; osculation differentiates columns, complements are handled through
-truncated jets of sections, which at a regular point capture exactly the
-jets of true sections.
+kernel fields expand through brackets.  Curve columns are arrays of
+coefficient vectors in t, integer inside extraction; osculation
+differentiates columns, complements are handled through truncated jets of
+sections, which at a regular point capture exactly the jets of true sections.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from .exact import (
     kernel_basis,
     pfaffian,
     rank,
-    solve_linear,
     sub_pfaffians,
     vec,
     zero_vector,
@@ -246,33 +246,53 @@ def characteristic_direction(fm: FlatModel, point):
 
 
 # ---------------------------------------------------------------------------
-# flat filtration curves of the shift flow
+# curves as coefficient arrays
+#
+# A column of a curve is the tuple (c_0, ..., c_D) of its n-vector
+# coefficients of t^0, ..., t^D, with c_D nonzero; the zero column is ().
 
-TVAR = ("t",)
+def column(entries):
+    """Array form of a column given each entry's coefficient list in t."""
+    deg = max((len(e) for e in entries), default=0)
+    return _trimmed(tuple(e[q] if q < len(e) else ZERO for e in entries)
+                    for q in range(deg))
 
 
-def _shift_exponential(x: GradedSymplecticSpace):
-    """e^{t*shift} as a polynomial matrix; finite because the shift is nilpotent."""
-    n = x.dim
-    t = MultiPoly.variable(TVAR, "t")
-    out = [[MultiPoly.constant(TVAR, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    power = [[frac(x.shift[i][j]) for j in range(n)] for i in range(n)]
-    k = 1
-    tk = t
-    fact = 1
-    while any(any(e != 0 for e in row) for row in power):
-        inv = Fraction(1, fact)
-        for i in range(n):
-            for j in range(n):
-                if power[i][j]:
-                    out[i][j] = out[i][j] + tk * (power[i][j] * inv)
-        power = [[sum(power[i][m] * x.shift[m][j] for m in range(n)) for j in range(n)]
-                 for i in range(n)]
-        k += 1
-        fact *= k
-        tk = tk * t
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _dcol(col):
+    """Derivative in t: a shift and a scale of the coefficients."""
+    return tuple(tuple(q * x for x in c) for q, c in enumerate(col) if q)
+
+
+def _eval_col(col, t0, n):
+    """Value at t0, by Horner's rule on the coefficient vectors."""
+    if not col:
+        return (0,) * n
+    if not t0:
+        return col[0]
+    out = col[-1]
+    for c in reversed(col[:-1]):
+        out = tuple(x * t0 + y for x, y in zip(out, c))
     return out
 
+
+def _integral(rows):
+    """The primitive integer rows proportional to rows, by one constant."""
+    rows = [[frac(x) for x in r] for r in rows]
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    rows = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+    g = math.gcd(*(x for r in rows for x in r)) or 1
+    return tuple(tuple(x // g for x in r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# flat filtration curves of the shift flow
 
 def rank_parity_of(sym: FlagSymbol) -> str:
     """Which extraction recipe fits the symbol's grading: odd (integer
@@ -283,7 +303,7 @@ def rank_parity_of(sym: FlagSymbol) -> str:
 @dataclass(frozen=True)
 class FlagCurve:
     indices: tuple     # filtration indices carrying a block, descending
-    blocks: tuple      # per index: tuple of polynomial columns in t
+    blocks: tuple      # per index: tuple of columns, as coefficient arrays
     sigma: tuple
     case: str          # odd | two | even
     base: Fraction     # index the extraction recipe starts from
@@ -300,94 +320,106 @@ class FlagCurve:
         return self.columns_at(self.base)
 
 
+def _apply(mcols, v):
+    """The matrix with columns mcols, as lists of nonzero (row, value),
+    times the vector v, visiting only nonzero entries."""
+    out = [ZERO] * len(v)
+    for k, e in enumerate(v):
+        for i, m in mcols[k] if e else ():
+            out[i] += m * e
+    return out
+
+
+def _sparse_columns(a):
+    n = len(a)
+    return [[(i, frac(a[i][k])) for i in range(n) if a[i][k]] for k in range(n)]
+
+
 def flat_curve(x: GradedSymplecticSpace) -> FlagCurve:
-    """Orbit of the weight filtration under the shift flow, one polynomial
-    block of columns per filtration index."""
+    """Orbit of the weight filtration under the shift flow: one block per
+    filtration index of columns of e^{tS} = sum t^k S^k / k!, a polynomial
+    because the shift S is nilpotent."""
     n = x.dim
-    exp = _shift_exponential(x)
+    shift = _sparse_columns(x.shift)
+    cols = []
+    for j in range(n):
+        coeffs = [tuple(ONE if i == j else ZERO for i in range(n))]
+        while any(coeffs[-1]):
+            coeffs.append(tuple(e / len(coeffs) for e in _apply(shift, coeffs[-1])))
+        cols.append(tuple(coeffs[:-1]))
     weights = sorted(set(x.weights), reverse=True)
-    blocks = []
-    for w in weights:
-        cols = tuple(
-            tuple(exp[i][j] for i in range(n))
-            for j in range(n) if x.weights[j] >= w
-        )
-        blocks.append(cols)
+    blocks = tuple(tuple(cols[j] for j in range(n) if x.weights[j] >= w) for w in weights)
     has_int = any(w.denominator == 1 for w in x.weights)
     has_half = any(w.denominator == 2 for w in x.weights)
     case = "even" if (has_int and has_half) else ("two" if has_half else "odd")
     base = HALF if case == "two" else ZERO
-    return FlagCurve(tuple(weights), tuple(blocks), x.sigma, case, base)
+    return FlagCurve(tuple(weights), blocks, x.sigma, case, base)
 
 
 def random_symplectic(sigma, seed, count=2, bound=2):
-    """Product of seeded symplectic transvections x -> x + c*sigma(x, v)*v."""
+    """Product of seeded symplectic transvections x -> x + c*sigma(x, v)*v,
+    each a rank-one update I + c v w^T with w_j = sigma(e_j, v)."""
     import random
 
     rng = random.Random(seed)
     n = len(sigma)
-    out = None
+    out = [[frac(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for _ in range(count):
         v = tuple(frac(rng.randint(-bound, bound)) for _ in range(n))
         c = frac(rng.randint(1, 3))
-        m = [[frac(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for j in range(n):
-            pair = sum(sigma[j][k] * v[k] for k in range(n))
-            if pair:
-                for i in range(n):
-                    m[i][j] += c * pair * v[i]
-        out = m if out is None else [[sum(out[i][k] * m[k][j] for k in range(n))
-                                      for j in range(n)] for i in range(n)]
+        w = [c * sum(sigma[j][k] * v[k] for k in range(n)) for j in range(n)]
+        ov = [sum(row[k] * v[k] for k in range(n)) for row in out]
+        out = [[x + ov[i] * w[j] for j, x in enumerate(row)] for i, row in enumerate(out)]
     return tuple(tuple(r) for r in out)
 
 
+def _compose(col, powers):
+    """The column col(r(t)) = sum_k c_k r(t)^k, where powers[k] is the
+    coefficient list of r(t)^k."""
+    out = [[ZERO] * len(col[0]) for _ in powers[len(col) - 1]]
+    for c, power in zip(col, powers):
+        for m, s in enumerate(power):
+            if s:
+                out[m] = [x + s * y for x, y in zip(out[m], c)]
+    return _trimmed(tuple(v) for v in out)
+
+
 def transform_curve(curve: FlagCurve, matrix=None, reparam=None) -> FlagCurve:
-    """Apply a constant change of frame and/or substitute t -> reparam(t).
+    """Apply a constant change of frame to every coefficient vector and/or
+    substitute t -> reparam(t), reparam a polynomial in t (a MultiPoly).
 
     An origin-preserving reparametrization with unit linear part leaves the
     extracted symbol unchanged; so does any matrix preserving the pairing.
     """
-    n = len(curve.sigma)
-    blocks = []
-    for block in curve.blocks:
-        cols = []
-        for col in block:
-            col = [_as_poly(p) for p in col]
-            if reparam is not None:
-                col = [p.subs({"t": reparam}) for p in col]
-            if matrix is not None:
-                col = [sum((col[k] * frac(matrix[i][k]) for k in range(n)),
-                           MultiPoly.constant(TVAR, 0)) for i in range(n)]
-            cols.append(tuple(col))
-        blocks.append(tuple(cols))
-    return FlagCurve(curve.indices, tuple(blocks), curve.sigma, curve.case, curve.base)
+    mcols = None if matrix is None else _sparse_columns(matrix)
+    powers = None
+    if reparam is not None:
+        r = [frac(reparam.coefficient_of((q,))) for q in range(max(reparam.degree(), 0) + 1)]
+        powers = [[ONE]]    # coefficient lists of r(t)^k, one per power in use
+        for _ in range(max((len(col) for block in curve.blocks for col in block), default=1) - 1):
+            prod = [ZERO] * (len(powers[-1]) + len(r) - 1)
+            for i, a in enumerate(powers[-1]):
+                for j, b in enumerate(r):
+                    prod[i + j] += a * b
+            powers.append(prod)
+    images = {}     # blocks share column objects; move each one once
+
+    def moved(col):
+        if id(col) not in images:
+            out = col if mcols is None else _trimmed(tuple(_apply(mcols, c)) for c in col)
+            images[id(col)] = out if powers is None or not out else _compose(out, powers)
+        return images[id(col)]
+
+    blocks = tuple(tuple(moved(col) for col in block) for block in curve.blocks)
+    return FlagCurve(curve.indices, blocks, curve.sigma, curve.case, curve.base)
 
 
 # ---------------------------------------------------------------------------
 # extraction helpers
 
-def _as_poly(e):
-    return e if isinstance(e, MultiPoly) else MultiPoly.constant(TVAR, frac(e))
-
-
-def _dcol(col):
-    return tuple(p.derivative("t") for p in col)
-
-
-def _eval_col(col, t0):
-    """Values at t0 of polynomials in t, read off their coefficients."""
-    if not t0:
-        return tuple(p.terms.get((0,), ZERO) for p in col)
-    return tuple(sum((c * t0 ** e for (e,), c in p.terms.items()), ZERO) for p in col)
-
-
-def _fiber_basis(vectors, n):
-    return Echelon(n, vectors).rref()[0]
-
-
 def _sigma_row(sigma, v):
     """The row vector v^T sigma, visiting only nonzero entries of v and sigma."""
-    out = [ZERO] * len(sigma)
+    out = [0] * len(sigma)
     for x, row in zip(v, sigma):
         if x:
             for j, s in enumerate(row):
@@ -403,30 +435,41 @@ def _skew_complement(basis, sigma):
     return kernel_basis([_sigma_row(sigma, b) for b in basis])
 
 
-def _max_degree(cols):
-    return max((p.degree() for col in cols for p in col), default=0)
-
-
-def _generic_rank(cols, n):
-    best = 0
-    cap = min(n, len(cols))
+def _check_regular(level, rank0, probes, n):
+    """Raise unless the span of the columns is as large at t = 0 as at the
+    probe points t = 1, 2, 3.  The generic rank is at least the rank at any
+    point, so a larger probe rank proves a drop at 0; a lower one proves
+    nothing.  probes[t0] = (Echelon of the values at t0, columns added),
+    created at the first level whose rank at 0 is short of min(n, #cols)."""
+    if rank0 == min(n, len(level)):
+        return
     for t0 in (1, 2, 3):
-        best = max(best, rank([_eval_col(c, t0) for c in cols]))
-        if best == cap:
-            break
-    return best
+        span, used = probes.get(t0) or (Echelon(n), 0)
+        for c in level[used:]:
+            span.add(_eval_col(c, t0, n))
+        probes[t0] = (span, len(level))
+        if span.rank > rank0:
+            raise NonRegularPoint("span dimension drops at t = 0")
 
 
-def _check_regular(cols, n):
-    if rank([_eval_col(c, ZERO) for c in cols]) != _generic_rank(cols, n):
-        raise NonRegularPoint("span dimension drops at t = 0")
-
-
-def _cap_pairs(pairs, n):
-    """Thin a family of section one-jets to one spanning the same jet space;
-    constraints and fiber spans computed from it are unchanged."""
-    span = Echelon(2 * n)
-    return [(val, der) for val, der in pairs if span.add(tuple(val) + tuple(der))]
+def _solve_all(a, rhss, ncols):
+    """One solution of a x = b, free variables at 0, for every b in rhss, or
+    None if some b is outside the column span.  One elimination of a
+    augmented by every b: a pivot right of a marks an inconsistent b, and
+    the pivot rows give each solution."""
+    reduced = Echelon(ncols + len(rhss), [
+        list(row) + [b[r] for b in rhss] for r, row in enumerate(a)
+    ]).reduced_rows()
+    pivots = [(min(row), row) for row in reduced]
+    if any(lead >= ncols for lead, _ in pivots):
+        return None
+    out = []
+    for c in range(len(rhss)):
+        sol = [ZERO] * ncols
+        for lead, row in pivots:
+            sol[lead] = row.get(ncols + c, ZERO)
+        out.append(tuple(sol))
+    return out
 
 
 class _ComplementJets:
@@ -438,12 +481,10 @@ class _ComplementJets:
 
     def __init__(self, cols, sigma):
         self.n = len(sigma)
-        deg = _max_degree(cols)
-        # coeff_rows[c][q]: coefficient of t^q in the row col_c(t)^T sigma
-        self.coeff_rows = [
-            [_sigma_row(sigma, tuple(p.coefficient_of((q,)) for p in col))
-             for q in range(deg + 2)]
-            for col in cols]
+        # coeff_rows[c][q]: coefficient of t^q in the row col_c(t)^T sigma,
+        # for q up to the degree of col_c
+        self.coeff_rows = [[_sigma_row(sigma, c) for c in col] or [zero_vector(self.n)]
+                           for col in cols]
         self.r0 = [pr[0] for pr in self.coeff_rows]
         self.kernel = kernel_basis(self.r0)
         self.jets = [[k] for k in self.kernel]
@@ -452,50 +493,15 @@ class _ComplementJets:
     def ensure(self, order):
         while self.order < order:
             p = self.order + 1
-            rhss = []
-            for jet in self.jets:
-                rhs = []
-                for pr in self.coeff_rows:
-                    s = ZERO
-                    for q in range(1, min(p, len(pr) - 1) + 1):
-                        s -= sum(x * y for x, y in zip(pr[q], jet[p - q]) if x and y)
-                    rhs.append(s)
-                rhss.append(rhs)
-            # one elimination of r0 augmented by every right-hand side; a
-            # pivot right of r0 marks a jet that does not extend, and the
-            # pivot rows give each solution with the free variables at 0
-            n = self.n
-            reduced = Echelon(n + len(rhss), [
-                list(row) + [rhs[r] for rhs in rhss] for r, row in enumerate(self.r0)
-            ]).reduced_rows()
-            pivots = [(min(row), row) for row in reduced]
-            if any(lead >= n for lead, _ in pivots):
+            rhss = [[-sum((x * y for q in range(1, min(p, len(pr) - 1) + 1)
+                           for x, y in zip(pr[q], jet[p - q]) if x and y), ZERO)
+                     for pr in self.coeff_rows] for jet in self.jets]
+            sols = _solve_all(self.r0, rhss, self.n)
+            if sols is None:
                 raise NonRegularPoint("complement section jet does not extend")
-            extended = []
-            for c, jet in enumerate(self.jets):
-                sol = [ZERO] * n
-                for lead, row in pivots:
-                    sol[lead] = row.get(n + c, ZERO)
-                extended.append(jet + [tuple(sol)])
-            for k in self.kernel:
-                extended.append([zero_vector(self.n)] * p + [k])
-            self.jets = extended
+            self.jets = ([jet + [sol] for jet, sol in zip(self.jets, sols)]
+                         + [[zero_vector(self.n)] * p + [k] for k in self.kernel])
             self.order = p
-
-
-def _select_reps(cands, floor_basis, target, n):
-    """Greedy pick of (value, derivative) one-jets whose values complete the
-    floor to the next fiber."""
-    span = Echelon(n, floor_basis)
-    reps = []
-    for val, der in cands:
-        if len(reps) == target:
-            break
-        if span.add(val):
-            reps.append((val, der))
-    if len(reps) != target:
-        raise NonSymplecticFlag("graded piece is short of section representatives")
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +518,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     """
     if isinstance(curve, FlagCurve):
         case = rank_parity or curve.case
-        if sigma is None:
-            sigma = curve.sigma
+        sigma = curve.sigma if sigma is None else sigma
         cols0 = curve.base_columns
     else:
         if rank_parity is None or sigma is None:
@@ -523,70 +528,67 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     if case not in ("odd", "two", "even"):
         raise ValueError(f"unknown rank parity {case!r}")
     n = len(sigma)
-    cols0 = tuple(tuple(_as_poly(e) for e in col) for col in cols0)
-    if any(len(col) != n for col in cols0):
+    if any(len(c) != n for col in cols0 for c in col):
         raise ValueError("column length does not match the pairing")
+    # a constant multiple of a column or of the pairing spans the same spaces
+    cols0 = tuple(_integral(_trimmed(col)) for col in cols0)
+    sigma = _integral(sigma)
     base = HALF if case == "two" else ZERO
     step = HALF if case == "even" else ONE
-    maxdeg = _max_degree(cols0)
+    maxdeg = max((len(col) - 1 for col in cols0), default=0)
 
     fibers = {}
     cands = {}      # index -> (value, derivative) one-jets of sections
 
-    def osculation_chain(start_cols, start_index):
-        """Walk derivatives downward until the fiber fills the space."""
-        level = list(start_cols)
-        newest = list(level)
-        idx = start_index
-        while True:
-            _check_regular(level, n)
-            fibers[idx] = _fiber_basis([_eval_col(c, ZERO) for c in level], n)
-            cands[idx] = _cap_pairs(
-                [(_eval_col(c, ZERO), _eval_col(_dcol(c), ZERO)) for c in level], n)
-            if len(fibers[idx]) == n:
-                return idx
-            if int(start_index - idx) > maxdeg:
-                raise NonSymplecticFlag("curve does not fill the symplectic space")
-            newest = [d for d in (_dcol(c) for c in newest)
-                      if any(p.degree() >= 0 for p in d)]
-            level = level + newest
-            idx -= ONE
-
-    bottom = osculation_chain(cols0, base)
+    # osculation: each level is the one above plus the newest derivatives,
+    # so the fiber at 0, the jet span (greedy thinning keeps a prefix) and
+    # the regularity probes each grow one Echelon by the newest columns only
+    fiber, jet_span = Echelon(n), Echelon(2 * n)
+    kept, probes, level, newest = [], {}, [], list(cols0)
+    bottom = base
+    while True:
+        derivs = [_dcol(c) for c in newest]
+        for c, d in zip(newest, derivs):
+            val, der = _eval_col(c, 0, n), _eval_col(d, 0, n)
+            fiber.add(val)
+            if jet_span.add(val + der):
+                kept.append((val, der))
+        level += newest
+        _check_regular(level, fiber.rank, probes, n)
+        fibers[bottom], cands[bottom] = fiber.rref()[0], list(kept)
+        if fiber.rank == n:
+            break
+        if int(base - bottom) > maxdeg:
+            raise NonSymplecticFlag("curve does not fill the symplectic space")
+        newest = [d for d in derivs if d]
+        bottom -= ONE
 
     if case == "even":
-        # half-odd chain: jets of complement sections plus the base block
+        # half-odd chain from the Taylor coefficients a_j at 0 of complement
+        # sections (truncated jets, k + 2 of them) and of the base columns
+        # (k + 1); (a_j, (j+1) a_{j+1}) is the one-jet of the j-th derivative
+        # over j!, and the first level, k = -1, sits at index 1/2
         jets = _ComplementJets(cols0, sigma)
-        jets.ensure(1)
-        fibers[HALF] = _fiber_basis([jet[0] for jet in jets.jets], n)
-        cands[HALF] = _cap_pairs([(jet[0], jet[1]) for jet in jets.jets], n)
-        level = -HALF
-        k = 0
+        zero = (0,) * n
+        k = -1
         while True:
             jets.ensure(k + 2)
-            vectors = []
-            pairs = []
-            for jet in jets.jets:
-                for j in range(k + 2):
-                    vectors.append(jet[j])
-                    pairs.append((jet[j], tuple(frac(j + 1) * e for e in jet[j + 1])))
-            for col in cols0:
-                c = col
-                for _ in range(k + 1):
-                    val = _eval_col(c, ZERO)
-                    c1 = _dcol(c)
-                    vectors.append(val)
-                    pairs.append((val, _eval_col(c1, ZERO)))
-                    c = c1
-            fibers[level] = _fiber_basis(vectors, n)
-            cands[level] = _cap_pairs(pairs, n)
-            if len(fibers[level]) == n:
+            series = ([(jet, k + 2) for jet in jets.jets]
+                      + [(list(col) + [zero] * (k + 2), k + 1) for col in cols0])
+            pairs = [(s[j], tuple((j + 1) * e for e in s[j + 1]))
+                     for s, m in series for j in range(m)]
+            idx = -HALF - k
+            fibers[idx] = Echelon(n, [v for v, _ in pairs]).rref()[0]
+            # thinned to pairs spanning the same jet space, which is all
+            # that constraints and fiber spans computed from them see
+            span = Echelon(2 * n)
+            cands[idx] = [(v, d) for v, d in pairs if span.add(v + d)]
+            if k >= 0 and len(fibers[idx]) == n:
                 break
             if k > n + 2:
                 raise NonSymplecticFlag("half-odd chain does not fill the symplectic space")
             k += 1
-            level -= ONE
-        bottom = min(bottom, level)
+        bottom = min(bottom, idx)
 
     def dual_index(b):
         return (ONE - b) if case in ("odd", "two") else (HALF - b)
@@ -613,14 +615,14 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         source = cands[d]
         r0 = [_sigma_row(sigma, val) for val, _ in source]
         r1 = [_sigma_row(sigma, der) for _, der in source]
-        pairs = []
+        rhss = []
         for v0 in fibers[pos]:
-            rhs = [-sum(r1[m][j] * v0[j] for j in range(n)) for m in range(len(r1))]
-            v1 = solve_linear(r0, rhs)
-            if v1 is None:
-                raise NonRegularPoint("complement section jet does not extend")
-            pairs.append((v0, tuple(v1)))
-        cands[pos] = pairs
+            nz = [(j, x) for j, x in enumerate(v0) if x]
+            rhss.append([-sum(row[j] * x for j, x in nz) for row in r1])
+        v1s = _solve_all(r0, rhss, n)
+        if v1s is None:
+            raise NonRegularPoint("complement section jet does not extend")
+        cands[pos] = list(zip(fibers[pos], v1s))
         pos += step
 
     grid = sorted(fibers)
@@ -633,57 +635,57 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     for i in grid:
         basis = fibers[i]
         if i > 0:
-            rows_s = [_sigma_row(sigma, b) for b in basis]
-            for a in range(len(basis)):
-                for b in range(a, len(basis)):
-                    if sum(rows_s[a][j] * basis[b][j] for j in range(n)):
-                        raise NonSymplecticFlag(f"member at index {i} is not isotropic")
+            rows_s = [_sigma_row(sigma, u) for u in basis]
+            if any(sum(x * y for x, y in zip(rows_s[a], v))
+                   for a in range(len(basis)) for v in basis[a:]):
+                raise NonSymplecticFlag(f"member at index {i} is not isotropic")
         else:
             span = Echelon(n, basis)
             if any(not span.contains(v) for v in _skew_complement(basis, sigma)):
                 raise NonSymplecticFlag(f"member at index {i} is not coisotropic")
 
-    # graded representatives and the level maps induced by differentiation
+    # graded representatives, a greedy pick of one-jets whose values complete
+    # the floor to the fiber, and the level maps induced by differentiation
     reps = {}
     for i in grid:
         floor = fiber_at(i + step)
         target = len(fiber_at(i)) - len(floor)
-        reps[i] = tuple(_select_reps(cands.get(i, []), floor, target, n)) if target else ()
+        span, picked = Echelon(n, floor), []
+        for val, der in cands.get(i, []) if target else ():
+            if len(picked) < target and span.add(val):
+                picked.append((val, der))
+        if len(picked) != target:
+            raise NonSymplecticFlag("graded piece is short of section representatives")
+        reps[i] = tuple(picked)
 
     def level_matrix(i):
         """Columns: coordinates of each representative's derivative on the
         representatives one index lower, modulo that level's floor."""
         lower = reps.get(i - ONE, ())
         floor = fiber_at(i - ONE + step)
-        a_cols = [list(v) for v, _ in lower] + [list(f) for f in floor]
-        mat_rows = [[a_cols[c][r] for c in range(len(a_cols))] for r in range(n)]
-        cols = []
-        for _, der in reps[i]:
-            sol = solve_linear(mat_rows, der)
-            if sol is None:
-                raise NonSymplecticFlag("derivative leaves the next filtration member")
-            cols.append(tuple(sol[:len(lower)]))
-        return cols
+        a_cols = [v for v, _ in lower] + list(floor)
+        mat_rows = [[col[r] for col in a_cols] for r in range(n)]
+        sols = _solve_all(mat_rows, [der for _, der in reps[i]], len(a_cols))
+        if sols is None:
+            raise NonSymplecticFlag("derivative leaves the next filtration member")
+        return [sol[:len(lower)] for sol in sols]
 
     matrices = {i: level_matrix(i) for i in grid if reps[i]}
 
-    def composite_rank(a, b):
+    def composite_ranks(b, lo):
+        """Ranks of the composite level maps from b down to each a >= lo,
+        keyed (a, b), in one sweep."""
         vecs = [tuple(ONE if p == q else ZERO for q in range(len(reps[b])))
                 for p in range(len(reps[b]))]
         i = b
-        while i > a:
+        ranks = {(b, b): len(vecs)}
+        while i > lo:
             cols = matrices.get(i, [])
-            nxt = []
-            for v in vecs:
-                out = [Fraction(0)] * len(reps.get(i - ONE, ()))
-                for c, col in enumerate(cols):
-                    if v[c]:
-                        for r in range(len(out)):
-                            out[r] += v[c] * col[r]
-                nxt.append(tuple(out))
-            vecs = nxt
+            vecs = [tuple(sum((x * col[r] for x, col in zip(v, cols) if x), ZERO)
+                          for r in range(len(reps.get(i - ONE, ())))) for v in vecs]
             i -= ONE
-        return rank(vecs)
+            ranks[(i, b)] = rank(vecs)
+        return ranks
 
     # rank profile -> multiset of row intervals, one parity class at a time
     offsets = {"odd": (ZERO,), "two": (HALF,), "even": (ZERO, HALF)}[case]
@@ -694,13 +696,10 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
             continue
         lo, hi = min(idxs), max(idxs)
         span_n = {}
-        a = lo
-        while a <= hi:
-            b = a
-            while b <= hi:
-                span_n[(a, b)] = composite_rank(a, b)
-                b += ONE
-            a += ONE
+        b = lo
+        while b <= hi:
+            span_n.update(composite_ranks(b, lo))
+            b += ONE
 
         def covered(a, b, lo=lo, hi=hi, span_n=span_n):
             if a < lo or b > hi:

@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from .abnormal import (
+    column,
     degeneracy_locus,
     derived_filtration,
     dual_variables,
@@ -565,11 +567,9 @@ def _rational_from_json(v):
         raise ValueError("curve entries must be integers or 'p/q' strings")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"bad rational value {v!r}") from None
+    # 'p/q' only: Fraction would also expand an exponent such as '1e999999999'
+    if isinstance(v, str) and re.fullmatch(r"\s*[+-]?\d+(/\d*[1-9]\d*)?\s*", v):
+        return Fraction(v)
     raise ValueError(f"bad rational value {v!r}")
 
 
@@ -589,18 +589,12 @@ def _curve_from_json(data):
             raise ValueError(f"curve file lacks {key!r}")
     sigma = tuple(tuple(_rational_from_json(e) for e in _json_list(row, "a sigma row"))
                   for row in _json_list(data["sigma"], "sigma"))
-    columns = []
-    for col in _json_list(data["columns"], "columns"):
-        entries = []
-        for coeffs in _json_list(col, "a column"):
-            terms = {}
-            for q, c in enumerate(_json_list(coeffs, "a column entry")):
-                cv = _rational_from_json(c)
-                if cv:
-                    terms[(q,)] = cv
-            entries.append(MultiPoly(("t",), terms))
-        columns.append(tuple(entries))
+    columns = [[[_rational_from_json(c) for c in _json_list(coeffs, "a column entry")]
+                for coeffs in _json_list(col, "a column")]
+               for col in _json_list(data["columns"], "columns")]
     n = len(sigma)
+    if not n:
+        raise ValueError("sigma is empty")
     try:
         check_skew(sigma)
     except NonSkew as exc:
@@ -609,13 +603,16 @@ def _curve_from_json(data):
         raise ValueError("sigma is degenerate")
     if any(len(col) != n for col in columns):
         raise ValueError(f"columns must have length {n}, the size of sigma")
-    return tuple(columns), data["rank_parity"], sigma
+    return tuple(column(col) for col in columns), data["rank_parity"], sigma
 
 
 def _cmd_extract(args):
     if args.curve:
         with open(args.curve, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("curve file nests too deeply") from None
         columns, parity, sigma = _curve_from_json(data)
         sym = extract_flag_symbol(columns, rank_parity=parity, sigma=sigma)
         source = args.curve

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from spflag.abnormal import (
     FlagCurve,
     _ComplementJets,
+    _dcol,
+    _eval_col,
+    _integral,
     characteristic_direction,
     degeneracy_locus,
     derived_filtration,
@@ -35,9 +38,10 @@ from spflag.exact import (
     spans_equal,
 )
 from spflag.liealg import FlatModel, algebra_from_entries, flat_model
-from spflag.symbols import build_model_space, parse_symbol, render_symbol
+from spflag.symbols import HALF, build_model_space, parse_symbol, render_symbol
 
-TVAR = ("t",)
+from curvecols import TVAR, as_array, as_polys
+
 T = MultiPoly.variable(TVAR, "t")
 
 
@@ -270,8 +274,8 @@ def test_direction_lies_in_goh_kernel(text, data):
 
 # --- flat curves ------------------------------------------------------------
 
-def eval_block(block, t0):
-    return [tuple(p.subs({"t": t0}) for p in col) for col in block]
+def eval_block(block, t0, n):
+    return [tuple(p.subs({"t": t0}) for p in as_polys(col, n)) for col in block]
 
 
 def test_flat_curve_starts_at_model_filtration():
@@ -283,7 +287,7 @@ def test_flat_curve_starts_at_model_filtration():
     for w, block in zip(c.indices, c.blocks):
         want = [tuple(Fraction(1 if i == j else 0) for i in range(x.dim))
                 for j in range(x.dim) if x.weights[j] >= w]
-        assert spans_equal(rref(eval_block(block, Fraction(0)))[0], rref(want)[0])
+        assert spans_equal(rref(eval_block(block, Fraction(0), x.dim))[0], rref(want)[0])
 
 
 def test_flat_curve_isotropy_pattern():
@@ -295,6 +299,7 @@ def test_flat_curve_isotropy_pattern():
     for w, block in zip(c.indices, c.blocks):
         if w > 0:
             # isotropy holds identically in t, not just at the base point
+            block = [as_polys(col, n) for col in block]
             for a in range(len(block)):
                 for b in range(a, len(block)):
                     pair = sum((block[a][i] * frac(x.sigma[i][j]) * block[b][j]
@@ -302,7 +307,7 @@ def test_flat_curve_isotropy_pattern():
                     assert pair == zero
         else:
             for t0 in (Fraction(0), Fraction(1), Fraction(2)):
-                vals = eval_block(block, t0)
+                vals = eval_block(block, t0, n)
                 rows = [tuple(sum(v[i] * x.sigma[i][j] for i in range(n))
                               for j in range(n)) for v in vals]
                 comp = kernel_basis(rows)
@@ -315,7 +320,8 @@ def test_flat_curve_top_line_is_moment_curve():
     top = c.blocks[0]
     assert len(top) == 1
     one = MultiPoly.constant(TVAR, 1)
-    assert top[0] == (one, T, T * T * Fraction(1, 2), T * T * T * Fraction(1, 6))
+    assert as_polys(top[0], x.dim) == (one, T, T * T * Fraction(1, 2),
+                                       T * T * T * Fraction(1, 6))
 
 
 def test_rank_parity_of_matches_weights():
@@ -368,7 +374,8 @@ def test_extract_flags_rank_drop_at_origin():
     one = MultiPoly.constant(TVAR, 1)
     zero = MultiPoly.constant(TVAR, 0)
     with pytest.raises(NonRegularPoint):
-        extract_flag_symbol(((one, zero), (zero, T)), rank_parity="odd", sigma=sigma)
+        extract_flag_symbol((as_array((one, zero)), as_array((zero, T))),
+                            rank_parity="odd", sigma=sigma)
 
 
 def reference_jets(cols, sigma, order):
@@ -396,8 +403,8 @@ def test_complement_jets_match_one_solve_per_jet():
     x = build_model_space(parse_symbol("D(1,2)"))
     for _ in range(5):
         cols = tuple(
-            tuple(MultiPoly(TVAR, {(q,): Fraction(rng.randint(-3, 3)) for q in range(3)})
-                  for _ in range(x.dim))
+            as_array(MultiPoly(TVAR, {(q,): Fraction(rng.randint(-3, 3)) for q in range(3)})
+                     for _ in range(x.dim))
             for _ in range(2))
         jets = _ComplementJets(cols, x.sigma)
         jets.ensure(3)
@@ -408,9 +415,10 @@ def test_complement_jets_rank_drop_raises():
     # the column t*e0 vanishes at t = 0, so its complement jumps there
     sigma = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     zero = MultiPoly.constant(TVAR, 0)
-    jets = _ComplementJets(((T, zero),), sigma)
+    cols = (as_array((T, zero)),)
+    jets = _ComplementJets(cols, sigma)
     with pytest.raises(NonRegularPoint):
-        reference_jets(((T, zero),), sigma, 1)
+        reference_jets(cols, sigma, 1)
     with pytest.raises(NonRegularPoint):
         jets.ensure(1)
 
@@ -420,7 +428,7 @@ def test_extract_flags_nonfilling_curve():
     one = MultiPoly.constant(TVAR, 1)
     zero = MultiPoly.constant(TVAR, 0)
     with pytest.raises(NonSymplecticFlag):
-        extract_flag_symbol(((one, zero),), rank_parity="odd", sigma=sigma)
+        extract_flag_symbol((as_array((one, zero)),), rank_parity="odd", sigma=sigma)
 
 
 def test_transform_curve_preserves_structure():
@@ -430,3 +438,110 @@ def test_transform_curve_preserves_structure():
     assert moved.indices == c.indices
     assert moved.case == c.case
     assert [len(b) for b in moved.blocks] == [len(b) for b in c.blocks]
+
+
+# --- curves as coefficient arrays, against MultiPoly ------------------------
+
+def shift_exponential(x):
+    """e^{t*shift} as a matrix of MultiPoly, summed power by power."""
+    n = x.dim
+    out = [[MultiPoly.constant(TVAR, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    power = [[frac(x.shift[i][j]) for j in range(n)] for i in range(n)]
+    k, tk, fact = 1, T, 1
+    while any(any(e != 0 for e in row) for row in power):
+        for i in range(n):
+            for j in range(n):
+                if power[i][j]:
+                    out[i][j] = out[i][j] + tk * (power[i][j] * Fraction(1, fact))
+        power = [[sum(power[i][m] * x.shift[m][j] for m in range(n)) for j in range(n)]
+                 for i in range(n)]
+        k += 1
+        fact *= k
+        tk = tk * T
+    return out
+
+
+@pytest.mark.parametrize("text", ["D(2,3)", "R(5/2)", "D(2,3)+R(5/2)", "2*D(1,2)+R(1/2)",
+                                  "D(5/2,4)"])
+def test_flat_curve_is_the_shift_exponential(text):
+    x = build_model_space(parse_symbol(text))
+    c = flat_curve(x)
+    exp = shift_exponential(x)
+    for w, block in zip(c.indices, c.blocks):
+        want = [tuple(exp[i][j] for i in range(x.dim))
+                for j in range(x.dim) if x.weights[j] >= w]
+        assert [as_polys(col, x.dim) for col in block] == want
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def array_columns(draw, n=None):
+    n = n or draw(st.integers(1, 4))
+    deg = draw(st.integers(-1, 4))
+    entries = [[draw(rationals) for _ in range(draw(st.integers(0, deg + 1)))]
+               for _ in range(n)]
+    return n, as_array(MultiPoly(TVAR, {(q,): c for q, c in enumerate(e)}) for e in entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_arithmetic_matches_multipoly(data):
+    n, col = data.draw(array_columns())
+    polys = as_polys(col, n)
+    assert as_array(polys) == col
+    assert not col or any(col[-1])
+    assert as_polys(_dcol(col), n) == tuple(p.derivative("t") for p in polys)
+    t0 = data.draw(rationals)
+    assert _eval_col(col, t0, n) == tuple(p.subs({"t": t0}) for p in polys)
+    ints = _integral(col)
+    assert all(isinstance(x, int) for c in ints for x in c)
+    if col:
+        # one constant takes the column to its integer form
+        scale = next(x / y for c, d in zip(col, ints) for x, y in zip(c, d) if y)
+        assert all(x == scale * y for c, d in zip(col, ints) for x, y in zip(c, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_transform_curve_matches_multipoly(data):
+    n, col = data.draw(array_columns())
+    _, other = data.draw(array_columns(n))
+    matrix = tuple(tuple(data.draw(rationals) for _ in range(n)) for _ in range(n))
+    reparam = MultiPoly(TVAR, {(q,): data.draw(rationals) for q in range(data.draw(st.integers(0, 3)))})
+    zero = MultiPoly.constant(TVAR, 0)
+    curve = FlagCurve((HALF, Fraction(0)), ((col,), (col, other)), ((Fraction(0),) * n,) * n,
+                      "odd", Fraction(0))
+
+    def framed(polys):
+        return tuple(sum((polys[k] * matrix[i][k] for k in range(n)), zero) for i in range(n))
+
+    def substituted(polys):
+        return tuple(p.subs({"t": reparam}) for p in polys)
+
+    for kwargs, want in (({"matrix": matrix}, framed),
+                         ({"reparam": reparam}, substituted),
+                         ({"matrix": matrix, "reparam": reparam},
+                          lambda polys: framed(substituted(polys)))):
+        moved = transform_curve(curve, **kwargs)
+        assert moved.indices == curve.indices and moved.sigma == curve.sigma
+        assert [[as_polys(c, n) for c in block] for block in moved.blocks] == \
+            [[want(as_polys(c, n)) for c in block] for block in curve.blocks]
+
+
+# --- regularity at t = 0 ------------------------------------------------------
+
+def scaled_base_columns(curve, factor):
+    n = len(curve.sigma)
+    return tuple(as_array(p * factor for p in as_polys(col, n)) for col in curve.base_columns)
+
+
+@pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)", "R(3/2)", "D(2,3)+R(5/2)", "R(5/2)"])
+def test_extract_accepts_columns_vanishing_at_the_probe_points(text):
+    """(t-1)(t-2)(t-3) times the base columns spans the same subspaces near
+    t = 0; its rank at every probe point is 0, which proves no drop at 0."""
+    c = flat_curve(build_model_space(parse_symbol(text)))
+    cols = scaled_base_columns(c, (T - 1) * (T - 2) * (T - 3))
+    got = extract_flag_symbol(cols, rank_parity=c.case, sigma=c.sigma)
+    assert render_symbol(got) == text

@@ -1,15 +1,22 @@
 """Command line front end: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spflag.cli import main
 from spflag.abnormal import flat_curve
+from spflag.exact import MultiPoly
 from spflag.flagprolong import flag_prolong
 from spflag.symbols import MAX_DIM_X, build_model_space, parse_symbol
+
+from curvecols import as_polys
 
 
 def run(capsys, *argv):
@@ -18,9 +25,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def curve_file(path, text):
-    """Serialize the base columns of the flat curve to the extract schema."""
+def curve_file(path, text, factor=None):
+    """Serialize the base columns of the flat curve, each entry times the
+    polynomial factor if one is given, to the extract schema."""
     c = flat_curve(build_model_space(parse_symbol(text)))
+    n = len(c.sigma)
+    columns = [as_polys(col, n) for col in c.base_columns]
+    if factor is not None:
+        columns = [tuple(p * factor for p in col) for col in columns]
 
     def coeffs(p):
         deg = max(p.degree(), 0)
@@ -33,7 +45,7 @@ def curve_file(path, text):
         "schema": "sp-1",
         "rank_parity": c.case,
         "sigma": [[int(e) for e in row] for row in c.sigma],
-        "columns": [[coeffs(p) for p in col] for col in c.base_columns],
+        "columns": [[coeffs(p) for p in col] for col in columns],
     }
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
@@ -300,6 +312,15 @@ def test_extract_rejects_malformed_curve(capsys, tmp_path, columns, sigma):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1e999999999", "0.5", "1/00", "", "x"])
+def test_extract_accepts_only_p_q_strings(capsys, tmp_path, value):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"rank_parity": "odd", "sigma": [[0, value], [-1, 0]],
+                                "columns": [[[1], [0, 1]]]}), encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (1, "", f"error: bad rational value {value!r}\n")
+
+
 @pytest.mark.parametrize("change, message", [
     ({"sigma": [[0, 1], [1, 0]]}, "sigma: entries (0,1) and (1,0) are not opposite"),
     ({"sigma": [[0, 1, 0], [-1, 0, 0]]}, "sigma: matrix is not square"),
@@ -329,3 +350,81 @@ def test_extract_rejects_symmetric_sigma_of_a_real_curve(capsys, tmp_path):
 def test_extract_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "extract", "--curve", str(tmp_path / "no.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)", "R(3/2)"])
+def test_extract_accepts_columns_vanishing_at_the_probe_points(capsys, tmp_path, text):
+    t = MultiPoly.variable(("t",), "t")
+    path = curve_file(tmp_path / "c.json", text, factor=(t - 1) * (t - 2) * (t - 3))
+    code, out, err = run(capsys, "extract", "--curve", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["symbol"] == text
+
+
+def test_extract_rejects_empty_sigma(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"rank_parity": "odd", "sigma": [], "columns": []}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (1, "", "error: sigma is empty\n")
+
+
+def test_extract_rejects_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (1, "", "error: curve file nests too deeply\n")
+
+
+SIGMAS = ([[0, 1], [-1, 0]], [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+          [[0, "1/2"], ["-1/2", 0]])
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+               | st.text(max_size=4)
+               | st.sampled_from(["1/2", "-2", "1/0", "odd", "two", "even", "sp-1"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["schema", "rank_parity", "sigma", "columns"]) | st.text(max_size=3),
+        inner, max_size=4),
+    max_leaves=24)
+
+
+@st.composite
+def curve_like(draw):
+    """A well-formed curve file of small columns, now and then with one field
+    replaced by arbitrary JSON."""
+    sigma = draw(st.sampled_from(SIGMAS))
+    entry = st.lists(st.integers(-2, 2) | st.sampled_from(["1/2", "-1/3"]), max_size=4)
+    data = {
+        "rank_parity": draw(st.sampled_from(["odd", "two", "even"])),
+        "sigma": sigma,
+        "columns": draw(st.lists(st.lists(entry, min_size=len(sigma), max_size=len(sigma)),
+                                 max_size=4)),
+    }
+    key = draw(st.sampled_from([None, None, "rank_parity", "sigma", "columns", "schema"]))
+    if key:
+        data[key] = draw(json_values)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=json_values | curve_like(), as_json=st.booleans())
+def test_extract_fuzzed_curve_files(tmp_path_factory, data, as_json):
+    """Any JSON curve file ends in a complete report or one error line."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["extract", "--curve", str(path)] + (["--json"] if as_json else []))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        if as_json:
+            assert json.loads(out)["command"] == "extract"
+        else:
+            assert out.startswith("symbol  ") and out.count("\n") == 3
+    else:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert err.startswith("error: " if code == 1 else "verification failure: ")

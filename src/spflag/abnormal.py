@@ -24,6 +24,7 @@ from .exact import (
     kernel_basis,
     pfaffian,
     rank,
+    solve_all,
     sub_pfaffians,
     vec,
     zero_vector,
@@ -452,26 +453,6 @@ def _check_regular(level, rank0, probes, n):
             raise NonRegularPoint("span dimension drops at t = 0")
 
 
-def _solve_all(a, rhss, ncols):
-    """One solution of a x = b, free variables at 0, for every b in rhss, or
-    None if some b is outside the column span.  One elimination of a
-    augmented by every b: a pivot right of a marks an inconsistent b, and
-    the pivot rows give each solution."""
-    reduced = Echelon(ncols + len(rhss), [
-        list(row) + [b[r] for b in rhss] for r, row in enumerate(a)
-    ]).reduced_rows()
-    pivots = [(min(row), row) for row in reduced]
-    if any(lead >= ncols for lead, _ in pivots):
-        return None
-    out = []
-    for c in range(len(rhss)):
-        sol = [ZERO] * ncols
-        for lead, row in pivots:
-            sol[lead] = row.get(ncols + c, ZERO)
-        out.append(tuple(sol))
-    return out
-
-
 class _ComplementJets:
     """Truncated jets of polynomial sections of the skew-orthogonal complement
     of the span of a column family.  At a regular point the truncated system
@@ -496,7 +477,7 @@ class _ComplementJets:
             rhss = [[-sum((x * y for q in range(1, min(p, len(pr) - 1) + 1)
                            for x, y in zip(pr[q], jet[p - q]) if x and y), ZERO)
                      for pr in self.coeff_rows] for jet in self.jets]
-            sols = _solve_all(self.r0, rhss, self.n)
+            sols = solve_all(self.r0, rhss, self.n)
             if sols is None:
                 raise NonRegularPoint("complement section jet does not extend")
             self.jets = ([jet + [sol] for jet, sol in zip(self.jets, sols)]
@@ -619,7 +600,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         for v0 in fibers[pos]:
             nz = [(j, x) for j, x in enumerate(v0) if x]
             rhss.append([-sum(row[j] * x for j, x in nz) for row in r1])
-        v1s = _solve_all(r0, rhss, n)
+        v1s = solve_all(r0, rhss, n)
         if v1s is None:
             raise NonRegularPoint("complement section jet does not extend")
         cands[pos] = list(zip(fibers[pos], v1s))
@@ -665,7 +646,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         floor = fiber_at(i - ONE + step)
         a_cols = [v for v, _ in lower] + list(floor)
         mat_rows = [[col[r] for col in a_cols] for r in range(n)]
-        sols = _solve_all(mat_rows, [der for _, der in reps[i]], len(a_cols))
+        sols = solve_all(mat_rows, [der for _, der in reps[i]], len(a_cols))
         if sols is None:
             raise NonSymplecticFlag("derivative leaves the next filtration member")
         return [sol[:len(lower)] for sol in sols]

@@ -50,14 +50,6 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def dot(u, v):
     return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
@@ -67,11 +59,11 @@ def is_zero_vector(u):
 
 
 def mat_add(a, b):
-    return tuple(vec_add(r, s) for r, s in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def mat_sub(a, b):
-    return tuple(vec_sub(r, s) for r, s in zip(a, b))
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def mat_vec(a, v):
@@ -85,11 +77,6 @@ def mat_mul(a, b):
 
 def is_zero_matrix(a):
     return all(is_zero_vector(r) for r in a)
-
-
-def bilinear(sigma, u, v):
-    """Evaluate the bilinear form given by matrix ``sigma`` on (u, v)."""
-    return dot(mat_vec(sigma, v), u)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +251,33 @@ def span_contains(basis, v):
     return Echelon(len(v), basis).contains(v)
 
 
+def solve_all(a, rhss, ncols):
+    """One solution of a x = b, free variables at 0, for every b in rhss, or
+    None if some b is outside the column span.  One elimination of a
+    augmented by every b: a pivot right of a marks an inconsistent b, and
+    the pivot rows give each solution."""
+    reduced = Echelon(ncols + len(rhss), [
+        list(row) + [b[r] for b in rhss] for r, row in enumerate(a)
+    ]).reduced_rows()
+    pivots = [(min(row), row) for row in reduced]
+    if any(lead >= ncols for lead, _ in pivots):
+        return None
+    out = []
+    for c in range(len(rhss)):
+        sol = [_ZERO] * ncols
+        for lead, row in pivots:
+            sol[lead] = row.get(ncols + c, _ZERO)
+        out.append(tuple(sol))
+    return out
+
+
 def solve_linear(a, b):
-    """One solution of a x = b (free variables set to 0), or None."""
+    """One solution of a x = b (free variables set to 0), or None: the
+    one-right-hand-side case of solve_all."""
     if not a:
         return None if any(x != 0 for x in b) else ()
-    ncols = len(a[0])
-    aug = (tuple(row) + (bi,) for row, bi in zip(mat(a), vec(b)))
-    rows, pivots = Echelon(ncols + 1, aug).rref()
-    if ncols in pivots:
-        return None
-    # with free variables at zero the rref rows give pivot values directly
-    x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return tuple(x)
+    sols = solve_all(mat(a), [vec(b)], len(a[0]))
+    return None if sols is None else sols[0]
 
 
 def det(a):
@@ -607,14 +607,23 @@ class MultiPoly:
                 poly_values.append(v)
             else:
                 poly_values.append(MultiPoly.constant(target_vars, v))
-        total = MultiPoly(target_vars)
+        # powers[i][e] = poly_values[i] ** e, each power expanded once
+        powers = [[MultiPoly.constant(target_vars, 1)] for _ in poly_values]
+        total = {}
         for exp, c in self.terms.items():
             term = MultiPoly.constant(target_vars, c)
-            for v, e in zip(poly_values, exp):
+            for v, pw, e in zip(poly_values, powers, exp):
                 if e:
-                    term = term * v ** e
-            total = total + term
-        return total
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * v)
+                    term = term * pw[e]
+            for m, y in term.terms.items():
+                y += total.get(m, 0)
+                if y:
+                    total[m] = y
+                else:
+                    del total[m]
+        return MultiPoly(target_vars, total)
 
     def coefficient_of(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))

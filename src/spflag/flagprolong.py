@@ -2,9 +2,10 @@
 
 All computations are graded: degree-k matrices only populate entries that
 raise the box weight by k, so every kernel stays small.  Matrices are sparse
-{(i, j): c} dicts inside the module, and every subspace (graded sp(X), the
-flag layers, the sl2-invariant part and its a/z split) is solved by one
-helper, _preimage; dense Fraction tuples appear only in what is returned.
+{(i, j): c} dicts inside the module.  Graded sp(X) is read off the pairing,
+and every other subspace (the flag layers, the sl2-invariant part and its
+a/z split) is solved by one helper, _preimage, on sparse rows; dense
+Fraction tuples appear only in what is returned.
 Dimensions come out exact; the closed-form predictors never touch linear
 algebra.
 """
@@ -18,7 +19,6 @@ from fractions import Fraction
 from .exact import (
     Echelon,
     frac,
-    kernel_basis,
     spans_equal,
     vec,
 )
@@ -120,7 +120,7 @@ def _bracket(a, b):
 def _preimage(family, image, targets):
     """The nonzero combinations of family whose image lies in span(targets).
 
-    One equation per matrix position met by an image or a target; the
+    One sparse row per matrix position met by an image or a target; the
     unknowns are the family coefficients, then the target coefficients.
     Returns one combination per kernel vector of that system, so the result
     is canonical for the family, its order and the targets' span.
@@ -128,12 +128,12 @@ def _preimage(family, image, targets):
     if not family:
         return []
     columns = [image(m) for m in family] + [{p: -c for p, c in t.items()} for t in targets]
-    keys = sorted(set().union(*columns))
-    if not keys:
-        # no equation: the kernel basis is the unit vectors, so the family
-        return list(family)
+    rows = {}
+    for j, col in enumerate(columns):
+        for p, c in col.items():
+            rows.setdefault(p, {})[j] = c
     out = []
-    for v in kernel_basis([[col.get(p, 0) for col in columns] for p in keys]):
+    for v in Echelon(len(columns), rows.values()).kernel():
         combo = {}
         for c, m in zip(v, family):
             if c:
@@ -152,22 +152,32 @@ def _span_reduce(mats, n):
 
 
 def _graded_basis(x, k, conformal=False):
-    """Sparse basis of the degree-k part of sp(X), or of csp(X)."""
+    """Sparse basis of the degree-k part of sp(X), or of csp(X), read off the
+    pairing.  It needs sigma to have one nonzero per row: sigma[a][pi(a)] =
+    s_a with pi an involution pairing weight w with -w.  Then A is in sp(X)
+    iff A[pi(b), pi(a)] = -s_a s_b A[a, b], which ties each degree-k
+    position to one mate of the same degree; a position with b = pi(a) is
+    free.  One element per pair, at its later position q with the mate
+    first, and the scaling element last: the canonical kernel basis of the
+    defining equations, with the positions as columns in order."""
     k = frac(k)
-    sigma = _sparse(x.sigma)
-
-    def skew_part(a):
-        # A^T sigma + sigma A = S - S^T with S = sigma A; being skew, it is
-        # fixed by its entries above the diagonal
-        out = {}
-        for (i, j), c in _mul(sigma, a).items():
-            if i != j:
-                key, c = ((i, j), c) if i < j else ((j, i), -c)
-                out[key] = out.get(key, 0) + c
-        return out
-
-    scaling = [{p: c for p, c in sigma.items() if p[0] < p[1]}] if conformal and k == 0 else []
-    return _preimage([{p: _ONE} for p in _degree_positions(x, k)], skew_part, scaling)
+    pi, s = {}, {}
+    for a, row in enumerate(x.sigma):
+        for b, c in enumerate(row):
+            if c:
+                pi[a], s[a] = b, c
+    out = []
+    # positions come row by row, so a mate met earlier compares smaller
+    for q in _degree_positions(x, k):
+        a, b = q
+        mate = (pi[b], pi[a])
+        if mate == q:
+            out.append({q: _ONE})
+        elif mate < q:
+            out.append({mate: -s[a] * s[b], q: _ONE})
+    if conformal and k == 0:
+        out.append({(a, a): _ONE for a in range(x.dim) if a < pi[a]})
+    return out
 
 
 def graded_symplectic_basis(x: GradedSymplecticSpace, k, conformal=False):

@@ -21,8 +21,6 @@ from .exact import (
     det_generic,
     kernel_basis,
     monomials_of_degree,
-    span_contains,
-    spans_equal,
 )
 from .flagprolong import (
     MatrixSubspace,
@@ -57,36 +55,40 @@ class PolySpace:
     def dim(self):
         return len(self.basis)
 
-    def _vectors(self):
-        monos = monomials_of_degree(len(self.variables), self.degree)
-        return [p.coefficient_vector(monos) for p in self.basis]
-
     def contains(self, p):
-        monos = monomials_of_degree(len(self.variables), self.degree)
-        v = p.coefficient_vector(monos)
-        if not self.basis:
-            return all(c == 0 for c in v)
-        return span_contains(self._vectors(), v)
+        if not p.terms:
+            return True
+        if p.variables != self.variables:
+            return False
+        # a term of another degree meets no basis column, so it survives
+        return Echelon(None, map(_keyed, self.basis)).contains(_keyed(p))
 
     def equals(self, other):
-        if self.degree != other.degree or self.variables != other.variables:
-            return False
-        return spans_equal(self._vectors(), other._vectors())
+        """Every basis is the canonical rref of its span (see poly_space), so
+        equal spans have equal bases."""
+        return (self.degree == other.degree and self.variables == other.variables
+                and [p.terms for p in self.basis] == [q.terms for q in other.basis])
+
+
+def _keyed(p):
+    """The terms of p as a sparse row, the column of x^e keyed by -e: the
+    ascending order of the keys is graded-lex descending within a degree,
+    as monomials_of_degree lists the monomials."""
+    return {tuple(-x for x in e): c for e, c in p.terms.items()}
 
 
 def poly_space(degree, variables, polys):
     """Span-reduce to a canonical independent basis; validates homogeneity.
 
-    The basis is the reduced row echelon form of the coefficient rows with
-    the monomials in graded-lex descending order (as monomials_of_degree
-    lists them); the column of x^e is keyed by -e, whose ascending order is
-    that one, so no row is ever written out over all monomials."""
+    The basis is the reduced row echelon form of the coefficient rows in
+    _keyed's column order, so no row is ever written out over all
+    monomials, and it is canonical for the span."""
     variables = tuple(variables)
     rows = []
     for p in polys:
         if any(sum(e) != degree for e in p.terms):
             raise ValueError("inhomogeneous polynomial for this space")
-        rows.append({tuple(-x for x in e): c for e, c in p.terms.items()})
+        rows.append(_keyed(p))
     basis = tuple(
         MultiPoly(variables, {tuple(-x for x in key): c for key, c in row.items()})
         # the column count matters only to Echelon.kernel(), unused here
@@ -208,6 +210,16 @@ class VarietySampler:
     param_weights: tuple = None   # weight of each parameter, if any is known
 
 
+def _row_boxes(x: GradedSymplecticSpace, component, kind="F"):
+    """The boxes of the component's row of that kind (its only row, for a
+    one-row component), top weight first."""
+    for ri, r in enumerate(rows_of(x.symbol)):
+        if r.component == component and (r.kind == kind or r.kind == "C"):
+            boxes = [i for i in range(x.dim) if x.row_index[i] == ri]
+            return sorted(boxes, key=lambda i: x.weights[i], reverse=True)
+    raise ValueError("no such row")
+
+
 def shift_orbit_sampler(x: GradedSymplecticSpace, component, kind="F", restricted=False):
     """The curve swept from the top box of a row by the shift exponential.
 
@@ -215,16 +227,7 @@ def shift_orbit_sampler(x: GradedSymplecticSpace, component, kind="F", restricte
     the ambient is just that row (a rational normal curve of degree = row
     length), otherwise the whole space.
     """
-    rows = rows_of(x.symbol)
-    row_idx = None
-    for ri, r in enumerate(rows):
-        if r.component == component and (r.kind == kind or r.kind == "C"):
-            row_idx = ri
-            break
-    if row_idx is None:
-        raise ValueError("no such row")
-    boxes = [i for i in range(x.dim) if x.row_index[i] == row_idx]
-    boxes.sort(key=lambda i: x.weights[i], reverse=True)
+    boxes = _row_boxes(x, component, kind)
     params = ("t",)
     t = MultiPoly.variable(params, "t")
     fact = Fraction(1)
@@ -536,13 +539,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
             var = base if j == 0 else developable_sampler(base, j)
             ideal = secant_ideal(var, k + 2, k, seed=seed)
             ideal_dim = ideal.dim
-            row_boxes = [
-                i
-                for i in range(x.dim)
-                if x.row_index[i] == _row_index_of(x, 0, "F")
-            ]
-            row_boxes.sort(key=lambda i: x.weights[i], reverse=True)
-            emb_pos = {f"y{p}": row_boxes[p] for p in range(len(row_boxes))}
+            emb_pos = {f"y{p}": i for p, i in enumerate(_row_boxes(x, 0))}
             embedded = poly_space(
                 k + 2, xvars, [embed_poly(q, xvars, emb_pos) for q in ideal.basis]
             )
@@ -553,13 +550,12 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         # vanishes on the k-th secant of every row curve
         inclusion = True
         for ci in range(len(sym.components)):
-            for kind in ("F",):
-                sampler = shift_orbit_sampler(x, ci, kind, restricted=False)
-                params, point = _secant_parametrization(sampler, k)
-                subs_map = {name: q for name, q in zip(sampler.ambient, point)}
-                for q in p_k.basis:
-                    if q.subs(subs_map).terms:
-                        inclusion = False
+            sampler = shift_orbit_sampler(x, ci, restricted=False)
+            params, point = _secant_parametrization(sampler, k)
+            subs_map = {name: q for name, q in zip(sampler.ambient, point)}
+            for q in p_k.basis:
+                if q.subs(subs_map).terms:
+                    inclusion = False
         entry["p_vanishes_on_row_secants"] = inclusion
         report["layers"].append(entry)
 
@@ -589,10 +585,3 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         passes["row_secant_inclusion"] = None
     report["passes"] = passes
     return report
-
-
-def _row_index_of(x, component, kind):
-    for ri, r in enumerate(rows_of(x.symbol)):
-        if r.component == component and (r.kind == kind or r.kind == "C"):
-            return ri
-    raise ValueError("no such row")

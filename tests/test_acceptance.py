@@ -6,7 +6,6 @@ runtime ceilings are asserted where a guarantee carries one.
 """
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -57,6 +56,7 @@ from spflag.symbols import (
     render_symbol,
 )
 from spflag.tanaka import assemble_algebra, prolong
+from universes import formula_universe
 
 T = MultiPoly.variable(("t",), "t")
 
@@ -190,25 +190,7 @@ def test_criterion_05_nonrectangular_tower_cross_checks():
 
 def test_criterion_06_formula_vs_brute_force():
     t0 = time.monotonic()
-    grid = [TwoRow(Fraction(s2, 2), l)
-            for s2 in range(0, 9) for l in range(0, s2 + 1)]
-    ones = [OneRow(m2) for m2 in range(1, 14, 2)]
-    universe = {}
-    for c in grid:
-        sym = make_symbol([c])
-        universe.setdefault(render_symbol(sym), sym)
-    for o in ones:
-        sym = make_symbol([o])
-        universe.setdefault(render_symbol(sym), sym)
-    for a, b in itertools.combinations_with_replacement(grid, 2):
-        if 2 * (a.l + 1) + 2 * (b.l + 1) <= 14:
-            sym = make_symbol([a, b])
-            universe.setdefault(render_symbol(sym), sym)
-    for c in grid:
-        for o in ones:
-            if 2 * (c.l + 1) + o.m2 + 1 <= 14:
-                sym = make_symbol([c, o])
-                universe.setdefault(render_symbol(sym), sym)
+    universe = formula_universe()
     assert len(universe) == 771
     for name in sorted(universe):
         sym = universe[name]

@@ -14,6 +14,7 @@ from spflag.exact import (
     mat_sub,
     identity_matrix,
     is_zero_matrix,
+    kernel_basis,
     rank,
     span_contains,
     spans_equal,
@@ -30,7 +31,8 @@ from spflag.flagprolong import (
     row_scaling_generators,
     sl2_triple,
 )
-from spflag.symbols import build_model_space, parse_symbol
+from spflag.symbols import build_model_space, parse_symbol, render_symbol
+from universes import formula_universe
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +73,55 @@ def test_graded_basis_degree_zero():
     assert len(plain) == 1 and len(conf) == 2
     flat = [flatten_matrix(m) for m in conf]
     assert span_contains(flat, flatten_matrix(identity_matrix(2)))
+
+
+def _solved_graded_basis(x, k, positions, conformal):
+    """Reference for graded_symplectic_basis: the degree-k part of sp(X), or
+    of csp(X) at k = 0, solved for.  The unknowns are the entries at the
+    degree-k positions, row by row, then the scale c; the equations are
+    A^T sigma + sigma A = c sigma, and every kernel vector gives one member."""
+    n = x.dim
+    if not positions:
+        return ()
+    scaled = conformal and k == 0
+    rows = []
+    # the defect is skew, so the entries above the diagonal are its equations
+    for r in range(n):
+        for c in range(r + 1, n):
+            # (A^T sigma + sigma A)[r][c] = sum_i A[i][r] sigma[i][c]
+            #                              + sum_j sigma[r][j] A[j][c]
+            row = [(x.sigma[i][c] if j == r else 0) + (x.sigma[r][i] if j == c else 0)
+                   for i, j in positions]
+            rows.append(row + [-x.sigma[r][c]] if scaled else row)
+    out = []
+    for v in kernel_basis(rows):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), y in zip(positions, v):
+            m[i][j] = y
+        if any(y for y in v[:len(positions)]):
+            out.append(tuple(tuple(row) for row in m))
+    return tuple(out)
+
+
+def test_graded_basis_matches_solved_reference():
+    # the closed form read off the pairing against a linear solve, on every
+    # acceptance-06 symbol small enough to solve densely
+    for sym in formula_universe().values():
+        x = build_model_space(sym)
+        if x.dim > 10:
+            continue
+        positions = {}
+        for i in range(x.dim):
+            for j in range(x.dim):
+                positions.setdefault(x.weights[i] - x.weights[j], []).append((i, j))
+        spread = max(x.weights) - min(x.weights)
+        k = Fraction(0)
+        while k <= spread:
+            for conformal in (False, True):
+                assert repr(graded_symplectic_basis(x, k, conformal)) == repr(
+                    _solved_graded_basis(x, k, positions.get(k, []), conformal)
+                ), (render_symbol(sym), k)
+            k += Fraction(1, 2)
 
 
 @pytest.mark.parametrize("text", ["D(2,3)", "D(1,2)", "R(5/2)", "D(5/2,1)"])

@@ -47,6 +47,16 @@ def test_poly_space_reduction_and_contains():
     assert sp.dim == 2
     assert sp.contains(x * x - y * y * 3)
     assert not sp.contains(x * y)
+    # terms outside the space's degree or variables are not dropped
+    line = poly_space(2, vs, [x * x])
+    assert not line.contains(x * x + x)
+    assert not line.contains(y)
+    assert not line.contains(MultiPoly.variable(("x", "z"), "x") ** 2)
+    assert not poly_space(2, vs, []).contains(x)
+    assert poly_space(2, vs, []).contains(MultiPoly(vs))
+    assert line.contains(MultiPoly(vs))
+    assert sp.equals(poly_space(2, vs, [x * x - y * y, x * x + y * y]))
+    assert not sp.equals(line)
     with pytest.raises(ValueError):
         poly_space(2, vs, [x])
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -37,16 +38,16 @@ from .flagprolong import decompose_azp, flag_prolong
 from .liealg import flat_model, heisenberg_from_space
 from .polyprolong import (
     default_variables,
-    developable_sampler,
     hankel_minor_space,
     poly_space,
+    secant_certificate,
     secant_ideal,
     shift_orbit_sampler,
     standard_prolong,
+    tangential_variety,
     verify_prolongation_theorems,
 )
 from .symbols import (
-    TwoRow,
     build_model_space,
     dim_x,
     distribution_rank,
@@ -61,6 +62,9 @@ from .symbols import (
 from .tanaka import prolong
 
 SCHEMA = "sp-1"
+# the largest prolongation degree a command accepts: the cost of a degree
+# grows with it, and prolong tanaka on R(1/2) takes seconds at this bound
+MAX_KMAX = 32
 
 
 class _UsageError(Exception):
@@ -117,6 +121,8 @@ def _resolve_kmax(args, fallback=6):
         return fallback
     if kmax < 1:
         raise _UsageError(f"kmax must be at least 1, got {kmax}")
+    if kmax > MAX_KMAX:
+        raise _UsageError(f"kmax must be at most {MAX_KMAX}, got {kmax}")
     return kmax
 
 
@@ -373,43 +379,22 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # secant ideals
 
-def _moment_secant_certified(space, s, k):
-    """Substitute a sum of k+1 symbolic moment-curve points into every
-    polynomial and require the zero polynomial."""
-    params = tuple(f"t{m}" for m in range(k + 1)) + tuple(f"c{m}" for m in range(k + 1))
-    ts = [MultiPoly.variable(params, f"t{m}") for m in range(k + 1)]
-    cs = [MultiPoly.variable(params, f"c{m}") for m in range(k + 1)]
-    subs = {}
-    for i in range(s + 2):
-        coord = MultiPoly.constant(params, 0)
-        for m in range(k + 1):
-            coord = coord + cs[m] * ts[m] ** i
-        subs[f"x{i + 1}"] = coord
-    return all(not f.subs(subs).terms for f in space.basis)
-
-
-def _hankel_matches_ideal(hank, ideal, ambient):
-    # factorial rescaling takes the moment curve to the shift-orbit curve
-    fact = Fraction(1)
-    ren = {}
-    for i in range(len(ambient)):
-        if i:
-            fact *= i
-        ren[f"x{i + 1}"] = MultiPoly.variable(ambient, f"y{i}") * fact
-    rescaled = poly_space(ideal.degree, ambient, [f.subs(ren) for f in hank.basis])
-    return rescaled.equals(ideal)
+def _rescaled_hankel(hank, ambient):
+    """The minors with x_{i+1} = i! y_i, which takes the moment curve
+    (t^i) to the shift-orbit row curve (t^i / i!)."""
+    ren = {f"x{i + 1}": MultiPoly.variable(ambient, f"y{i}") * math.factorial(i)
+           for i in range(len(ambient))}
+    return poly_space(hank.degree, ambient, [f.subs(ren) for f in hank.basis])
 
 
 def _cmd_secant(args):
     sym = parse_symbol(_require_spec(args))
     x = build_model_space(sym)
     kmax = _resolve_kmax(args)
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     row_len = len(base.coords)
     s_h = row_len - 2
-    comp = sym.components[0]
-    tangential = (len(sym.components) == 1 and isinstance(comp, TwoRow)
-                  and comp.s == int(comp.s) and comp.s < comp.l < 2 * comp.s)
+    tangential = tangential_variety(sym, base)
     rows = []
     lines = [f"symbol  {render_symbol(sym)}", f"row curve degree  {row_len - 1}"]
     failed = False
@@ -420,17 +405,19 @@ def _cmd_secant(args):
                  "hankel_matches_row_ideal": None, "dim_tangential_ideal": None}
         if s_h >= 2 * k + 1:
             hank = hankel_minor_space(s_h, k)
+            rescaled = _rescaled_hankel(hank, base.ambient)
             entry["dim_hankel"] = hank.dim
-            entry["hankel_certified"] = _moment_secant_certified(hank, s_h, k)
-            entry["hankel_matches_row_ideal"] = _hankel_matches_ideal(hank, ideal,
-                                                                     base.ambient)
+            # the minors vanish on the moment curve's k-th secant iff the
+            # rescaled ones vanish on the row curve's
+            entry["hankel_certified"] = secant_certificate(base, k)(rescaled.basis)
+            entry["hankel_matches_row_ideal"] = rescaled.equals(ideal)
             if not entry["hankel_certified"] or not entry["hankel_matches_row_ideal"]:
                 failed = True
-        if tangential:
+        if tangential is not None:
             # for j = 0 the tangential variety is the row curve itself
-            j = int(comp.l - comp.s - 1)
-            entry["dim_tangential_ideal"] = ideal.dim if j == 0 else secant_ideal(
-                developable_sampler(base, j), k + 2, k, seed=args.seed).dim
+            tan_ideal = ideal if tangential is base else secant_ideal(
+                tangential, k + 2, k, seed=args.seed)
+            entry["dim_tangential_ideal"] = tan_ideal.dim
         rows.append(entry)
         cells = [f"k={k}", f"degree={k + 2}", f"dim_row_ideal={ideal.dim}"]
         if entry["dim_hankel"] is not None:
@@ -716,14 +703,14 @@ def main(argv=None) -> int:
             raise _UsageError("missing subcommand; see --help")
         return args.func(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"usage error: {exc}"
     except (NonRegularPoint, NonSymplecticFlag, CertificationFailure) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"verification failure: {exc}"
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"error: {exc}"
+    # one line, also where the message quotes an argument that holds a newline
+    print(line.replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -210,43 +210,25 @@ class VarietySampler:
     param_weights: tuple = None   # weight of each parameter, if any is known
 
 
-def _row_boxes(x: GradedSymplecticSpace, component, kind="F"):
-    """The boxes of the component's row of that kind (its only row, for a
-    one-row component), top weight first."""
+def _row_boxes(x: GradedSymplecticSpace, component):
+    """The boxes of the component's lower row (its only row, for a one-row
+    component), top weight first."""
     for ri, r in enumerate(rows_of(x.symbol)):
-        if r.component == component and (r.kind == kind or r.kind == "C"):
+        if r.component == component and r.kind in ("F", "C"):
             boxes = [i for i in range(x.dim) if x.row_index[i] == ri]
             return sorted(boxes, key=lambda i: x.weights[i], reverse=True)
     raise ValueError("no such row")
 
 
-def shift_orbit_sampler(x: GradedSymplecticSpace, component, kind="F", restricted=False):
-    """The curve swept from the top box of a row by the shift exponential.
-
-    Coordinates are t^i / i! down the row, zero elsewhere; with restricted
-    the ambient is just that row (a rational normal curve of degree = row
-    length), otherwise the whole space.
-    """
-    boxes = _row_boxes(x, component, kind)
-    params = ("t",)
-    t = MultiPoly.variable(params, "t")
-    fact = Fraction(1)
-    curve = []
-    for pos in range(len(boxes)):
-        if pos:
-            fact *= pos
-        curve.append(t ** pos * Fraction(1, fact))
-    if restricted:
-        ambient = tuple(f"y{p}" for p in range(len(boxes)))
-        coords = tuple(curve)
-    else:
-        ambient = default_variables(x.dim)
-        zero = MultiPoly.constant(params, 0)
-        full = [zero] * x.dim
-        for pos, i in enumerate(boxes):
-            full[i] = curve[pos]
-        coords = tuple(full)
-    return VarietySampler(params, coords, ambient, len(boxes) - 1, (1,))
+def shift_orbit_sampler(x: GradedSymplecticSpace, component):
+    """The curve swept from the top box of a row by the shift exponential,
+    in the row's own coordinates: y_i = t^i / i! for the i-th box of
+    _row_boxes, a rational normal curve of degree = row length - 1.  In the
+    whole space the curve is zero off the row."""
+    n = len(_row_boxes(x, component))
+    t = MultiPoly.variable(("t",), "t")
+    curve = tuple(t ** i * Fraction(1, math.factorial(i)) for i in range(n))
+    return VarietySampler(("t",), curve, tuple(f"y{i}" for i in range(n)), n - 1, (1,))
 
 
 def developable_sampler(base: VarietySampler, j):
@@ -291,11 +273,25 @@ def _secant_parametrization(v: VarietySampler, k):
     return all_params, tuple(point)
 
 
+def secant_certificate(v: VarietySampler, k):
+    """The exact test that polynomials over v.ambient vanish on the k-th
+    secant variety of v: each must substitute to the zero polynomial at the
+    symbolic secant point.  Fixing the first point's coefficient at 1 loses
+    nothing for homogeneous polynomials."""
+    _, point = _secant_parametrization(v, k)
+    subs_map = dict(zip(v.ambient, point))
+    return lambda polys: all(not p.subs(subs_map).terms for p in polys)
+
+
 def _random_rational(rng):
     return Fraction(rng.randint(-20, 20), rng.randint(1, 7))
 
 
-def secant_ideal(v: VarietySampler, degree, k, seed=42, max_rounds=4):
+# sampling rounds before secant_ideal gives up, doubling the points each time
+SECANT_ROUNDS = 4
+
+
+def secant_ideal(v: VarietySampler, degree, k, seed=42):
     """Degree slice of the ideal of the k-th secant variety.
 
     Sampling bounds the space from above; symbolic certification of every
@@ -314,12 +310,12 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42, max_rounds=4):
         blocks.setdefault(_weight((m,), coord_weights) if split else None, []).append(m)
     blocks = list(blocks.values())
     rng = random.Random(seed)
-    all_params, point = _secant_parametrization(v, k)
-    subs_map = {name: p for name, p in zip(v.ambient, point)}
+    _, point = _secant_parametrization(v, k)
+    certified = secant_certificate(v, k)
     points = []
     need = max(map(len, blocks), default=0) + 8
     polys = []
-    for _ in range(max_rounds):
+    for _ in range(SECANT_ROUNDS):
         while len(points) < need:
             vals = {}
             for copy in range(k + 1):
@@ -337,7 +333,7 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42, max_rounds=4):
                 MultiPoly(v.ambient, {m: c for m, c in zip(block, vec) if c != 0})
                 for vec in kern
             ]
-            if all(not p.subs(subs_map).terms for p in found):
+            if certified(found):
                 polys.extend(found)
             else:
                 uncertified.append(block)
@@ -346,7 +342,7 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42, max_rounds=4):
         blocks = uncertified
         need *= 2
     raise CertificationFailure(
-        f"secant ideal sampling did not stabilize after {max_rounds} rounds"
+        f"secant ideal sampling did not stabilize after {SECANT_ROUNDS} rounds"
     )
 
 
@@ -437,6 +433,17 @@ def embed_poly(p: MultiPoly, target_vars, position_of):
     return out
 
 
+def restrict_poly(p: MultiPoly, boxes, variables):
+    """p with every variable off boxes set to 0 and the variable of boxes[i]
+    renamed to variables[i]: p restricted to a coordinate subspace."""
+    terms = {}
+    for exp, c in p.terms.items():
+        row_exp = tuple(exp[i] for i in boxes)
+        if sum(row_exp) == sum(exp):
+            terms[row_exp] = c
+    return MultiPoly(tuple(variables), terms)
+
+
 # ---------------------------------------------------------------------------
 # the verification harness
 
@@ -480,6 +487,18 @@ def _tangential_hypotheses(sym):
     return True, ""
 
 
+def tangential_variety(sym, base: VarietySampler):
+    """The variety whose secant ideals the tangential-secant identity matches
+    with p^(k): the j-th osculating developable of the row curve base, with
+    j = l - s - 1, so base itself for j = 0.  None when the identity's
+    hypotheses fail."""
+    if not _tangential_hypotheses(sym)[0]:
+        return None
+    c = sym.components[0]
+    j = int(c.l - c.s - 1)
+    return base if j == 0 else developable_sampler(base, j)
+
+
 def verify_prolongation_theorems(sym, k_max, seed=42):
     """Cross-check the graded layers against standard prolongations and the
     secant-variety ideal slices; returns a JSON-friendly report."""
@@ -490,6 +509,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
     genpr_ok, genpr_why = _genpr_hypotheses(sym)
     sec85_ok, sec85_why = _pairwise_hypotheses(sym)
     sec81_ok, sec81_why = _tangential_hypotheses(sym)
+    finite = is_finite_type(sym)
     tp = None
     cap_report = None
     try:
@@ -508,16 +528,12 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         "terminated": tp is not None,
         "layers": [],
     }
-    if tp is not None:
-        degrees = dict(tp.report.degrees)
-    elif cap_report is not None:
-        degrees = dict(cap_report.degrees)
-    else:
-        degrees = {}
+    degrees = dict((tp.report if tp is not None else cap_report).degrees)
 
     xvars = default_variables(x.dim)
-    pos_of = {name: i for i, name in enumerate(xvars)}
-    single_two = len(sym.components) == 1 and isinstance(sym.components[0], TwoRow)
+    rows = [(_row_boxes(x, ci), shift_orbit_sampler(x, ci))
+            for ci in range(len(sym.components))]
+    tangential = tangential_variety(sym, rows[0][1])
     for k in range(1, k_max + 1):
         entry = {"k": k, "dim_layer": degrees.get(k, 0 if tp is not None else None)}
         p_k = standard_prolong(dec.p, k, x.sigma, variables=xvars, weights=x.weights)
@@ -532,30 +548,26 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
             entry["layer_equals_p"] = u_k.equals(p_k)
         ideal_dim = None
         ideal_equal = None
-        if single_two and sec81_ok:
-            c = sym.components[0]
-            j = int(c.l - c.s - 1)
-            base = shift_orbit_sampler(x, 0, "F", restricted=True)
-            var = base if j == 0 else developable_sampler(base, j)
-            ideal = secant_ideal(var, k + 2, k, seed=seed)
+        if tangential is not None:
+            ideal = secant_ideal(tangential, k + 2, k, seed=seed)
             ideal_dim = ideal.dim
-            emb_pos = {f"y{p}": i for p, i in enumerate(_row_boxes(x, 0))}
+            emb_pos = {f"y{p}": i for p, i in enumerate(rows[0][0])}
             embedded = poly_space(
                 k + 2, xvars, [embed_poly(q, xvars, emb_pos) for q in ideal.basis]
             )
             ideal_equal = embedded.equals(p_k)
         entry["dim_ideal"] = ideal_dim
         entry["ideal_equals_p"] = ideal_equal
-        # containment in the per-row secant ideals: certify each polynomial
-        # vanishes on the k-th secant of every row curve
-        inclusion = True
-        for ci in range(len(sym.components)):
-            sampler = shift_orbit_sampler(x, ci, restricted=False)
-            params, point = _secant_parametrization(sampler, k)
-            subs_map = {name: q for name, q in zip(sampler.ambient, point)}
-            for q in p_k.basis:
-                if q.subs(subs_map).terms:
-                    inclusion = False
+        # p^(k) lies in the ideal of the k-th secant of every row curve; the
+        # curve is zero off its row, so certify each polynomial restricted to
+        # the row.  Like standard_equality, this is only claimed, and so only
+        # computed, for finite type.
+        inclusion = None
+        if finite:
+            inclusion = all(
+                secant_certificate(curve, k)(
+                    [restrict_poly(q, boxes, curve.ambient) for q in p_k.basis])
+                for boxes, curve in rows)
         entry["p_vanishes_on_row_secants"] = inclusion
         report["layers"].append(entry)
 
@@ -569,15 +581,14 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         )
     else:
         passes["standard_equality"] = None
-    if single_two and sec81_ok:
+    if tangential is not None:
         passes["tangential_secant"] = all(
             e["dim_ideal"] == e["dim_p"] and e["ideal_equals_p"]
             for e in report["layers"]
         )
     else:
         passes["tangential_secant"] = None
-    # like standard_equality, this identity is only claimed for finite type
-    if is_finite_type(sym):
+    if finite:
         passes["row_secant_inclusion"] = all(
             e["p_vanishes_on_row_secants"] for e in report["layers"]
         )

@@ -332,7 +332,7 @@ def test_criterion_11_secant_certification():
     checked = 0
     for text in ("D(2,3)", "D(3,4)"):
         x = build_model_space(parse_symbol(text))
-        base = shift_orbit_sampler(x, 0, "F", restricted=True)
+        base = shift_orbit_sampler(x, 0)
         for k in (1, 2):
             ideal = secant_ideal(base, k + 2, k, seed=42)
             subs = secant_substitution(base, k)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spflag.cli import main
+from spflag.cli import MAX_KMAX, main
 from spflag.abnormal import flat_curve
 from spflag.exact import MultiPoly
 from spflag.flagprolong import flag_prolong
@@ -100,6 +100,12 @@ def test_n_over_the_size_budget_is_rejected(capsys, argv, n):
     assert err == f"error: n={n} gives dim_x {2 * n - 6}, above the limit of {MAX_DIM_X}\n"
 
 
+def test_error_quoting_a_newline_stays_one_line(capsys):
+    code, out, err = run(capsys, "symbol", "enumerate", "--spec", "D(1,\n2)")
+    assert (code, out) == (1, "")
+    assert err == "usage error: unrecognized arguments: --spec D(1,\\n2)\n"
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 1
@@ -183,6 +189,24 @@ def test_kmax_env_not_an_integer_is_a_usage_error(capsys, monkeypatch, kmax):
     assert err == f"usage error: SP_KMAX must be an integer, got {kmax!r}\n"
 
 
+@pytest.mark.parametrize("source", ["--kmax", "SP_KMAX"])
+def test_kmax_above_the_bound_is_a_usage_error(capsys, monkeypatch, source):
+    assert MAX_KMAX == 32
+
+    def tanaka(kmax):
+        argv = ["prolong", "tanaka", "--spec", "R(3/2)", "--json"]
+        if source == "SP_KMAX":
+            monkeypatch.setenv("SP_KMAX", str(kmax))
+        else:
+            argv += ["--kmax", str(kmax)]
+        return run(capsys, *argv)
+
+    code, out, err = tanaka(32)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"][0]["total_dim"] == 14
+    assert tanaka(33) == (1, "", "usage error: kmax must be at most 32, got 33\n")
+
+
 def test_prolong_flag_matches_api(capsys):
     code, out, _ = run(capsys, "prolong", "flag", "--spec", "D(2,3)", "--json")
     assert code == 0
@@ -211,11 +235,22 @@ def test_verify_passes(capsys):
     assert all(v is not False for v in data["passes"].values())
 
 
-@pytest.mark.parametrize("spec, kmax", [("D(0,0)", "1"), ("D(1,1)", "2")])
+@pytest.mark.parametrize("spec, kmax", [("D(0,0)", "1"), ("D(1,1)", "2"), ("D(2,2)", "2")])
 def test_verify_skips_row_secants_for_infinite_type(capsys, spec, kmax):
     code, out, _ = run(capsys, "verify", "--spec", spec, "--kmax", kmax)
     assert code == 0
     assert "theorem row_secant_inclusion     SKIP" in out.splitlines()
+
+
+@pytest.mark.parametrize("spec", ["D(0,0)", "D(1,1)", "D(2,2)"])
+def test_verify_reports_null_row_secants_for_infinite_type(capsys, spec):
+    # at the default kmax: certifying what is reported as SKIP took up to a
+    # minute on D(2,2)
+    code, out, err = run(capsys, "verify", "--spec", spec, "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [e["p_vanishes_on_row_secants"] for e in data["layers"]] == [None] * 6
+    assert data["passes"]["row_secant_inclusion"] is None
 
 
 def test_verify_row_secants_pass_for_finite_type(capsys):
@@ -428,3 +463,44 @@ def test_extract_fuzzed_curve_files(tmp_path_factory, data, as_json):
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert err.startswith("error: " if code == 1 else "verification failure: ")
+
+
+COMMANDS = (("symbol", "parse"), ("symbol", "classify"), ("symbol", "enumerate"),
+            ("flat-model",), ("prolong", "flag"), ("prolong", "tanaka"),
+            ("prolong", "standard"), ("verify",), ("secant",), ("goh",), ("extract",))
+KMAX_COMMANDS = (("prolong", "flag"), ("prolong", "tanaka"), ("prolong", "standard"),
+                 ("verify",), ("secant",))
+# every command runs in well under a second on these at kmax <= 4
+SMALL_SPECS = ("D(0,0)", "D(1,1)", "D(1,2)", "D(2,2)", "D(2,3)", "R(1/2)", "R(3/2)",
+               "D(1,2)+R(1/2)", "2*D(0,0)")
+JUNK_SPECS = ("", "D(", "D(1,2", "D(1,2)+", "3*", "R(1/3)", "R(1/0)", "D(-1,0)",
+              "D(1,1000)", "D(1,2)\n", "-x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       spec=st.sampled_from(SMALL_SPECS + JUNK_SPECS) | st.text("DR()+*/,- \n", max_size=8),
+       kmax=st.sampled_from([str(k) for k in range(-3, 5)] + ["33", "x"]),
+       stray_kmax=st.booleans(), as_json=st.booleans())
+def test_fuzzed_argv(command, spec, kmax, stray_kmax, as_json):
+    """Any argv ends in a complete report or one error line, never a
+    traceback; --kmax also goes to commands that do not take it."""
+    argv = [*command, "--spec", spec]
+    if command in KMAX_COMMANDS or stray_kmax:
+        argv += ["--kmax", kmax]
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if out:
+        assert code in (0, 2) and err == ""
+        if as_json:
+            assert json.loads(out)["command"] == " ".join(command)
+        else:
+            assert out.endswith("\n") and out.strip()
+    else:
+        assert code in (1, 2)
+        assert err.endswith("\n") and err.count("\n") == 1

@@ -12,11 +12,15 @@ from spflag.flagprolong import decompose_azp, graded_symplectic_basis
 from spflag.liealg import heisenberg_from_space
 from spflag.polyprolong import (
     VarietySampler,
+    _row_boxes,
     _secant_parametrization,
+    default_variables,
     developable_sampler,
     embed_poly,
     hankel_minor_space,
     poly_space,
+    restrict_poly,
+    secant_certificate,
     secant_ideal,
     shift_orbit_sampler,
     standard_prolong,
@@ -128,14 +132,14 @@ def test_standard_prolong_derivative_closure():
 
 def test_secant_ideal_twisted_cubic():
     x = space("D(2,3)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     assert secant_ideal(base, 2, 0).dim == 3
     assert secant_ideal(base, 3, 1).dim == 0
 
 
 def test_secant_ideal_quartic_catalecticant():
     x = space("D(3,4)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     assert secant_ideal(base, 2, 0).dim == 6
     chords = secant_ideal(base, 3, 1)
     assert chords.dim == 1
@@ -144,7 +148,7 @@ def test_secant_ideal_quartic_catalecticant():
 def test_secant_ideal_members_vanish_symbolically():
     # independent re-certification of the emitted polynomials
     x = space("D(3,4)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     ideal = secant_ideal(base, 2, 0)
     subs_map = {name: c for name, c in zip(base.ambient, base.coords)}
     for f in ideal.basis:
@@ -153,7 +157,7 @@ def test_secant_ideal_members_vanish_symbolically():
 
 def test_secant_ideal_deterministic():
     x = space("D(2,3)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     a = secant_ideal(base, 2, 0, seed=42)
     b = secant_ideal(base, 2, 0, seed=42)
     assert a.basis == b.basis
@@ -162,7 +166,7 @@ def test_secant_ideal_deterministic():
 def test_developable_ideal_slice():
     # quadrics through the tangent surface of the rational normal quartic
     x = space("D(2,4)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     tangent = developable_sampler(base, 1)
     ideal = secant_ideal(tangent, 2, 0)
     assert ideal.dim == 1
@@ -196,7 +200,7 @@ def test_hankel_matches_secant_after_rescaling():
     # the shifted-row minor space is the curve ideal once coordinates are
     # rescaled from the moment curve to the exponential curve
     x = space("D(2,3)")
-    base = shift_orbit_sampler(x, 0, "F", restricted=True)
+    base = shift_orbit_sampler(x, 0)
     ideal = secant_ideal(base, 2, 0)
     hank = hankel_minor_space(2, 0)
     fact = Fraction(1)
@@ -233,6 +237,78 @@ def test_verify_report_nonrectangular_tower():
     assert rep["passes"]["standard_equality"] is True
     assert rep["passes"]["tangential_secant"] is True
     assert rep["passes"]["row_secant_inclusion"] is True
+
+
+def full_ambient_vanishes(x, ci, polys, k):
+    """The row-secant certificate over the whole space: the row curve of
+    component ci written out over every coordinate, zero off its row, and
+    its symbolic k-th secant point substituted into each polynomial."""
+    row = shift_orbit_sampler(x, ci)
+    full = [MultiPoly.constant(row.params, 0)] * x.dim
+    for pos, i in enumerate(_row_boxes(x, ci)):
+        full[i] = row.coords[pos]
+    curve = VarietySampler(row.params, tuple(full), default_variables(x.dim),
+                           row.degree, row.param_weights)
+    _, point = _secant_parametrization(curve, k)
+    subs_map = dict(zip(curve.ambient, point))
+    return all(not q.subs(subs_map).terms for q in polys)
+
+
+def row_vanishes(x, ci, polys, k):
+    curve = shift_orbit_sampler(x, ci)
+    boxes = _row_boxes(x, ci)
+    return secant_certificate(curve, k)([restrict_poly(q, boxes, curve.ambient) for q in polys])
+
+
+@pytest.mark.parametrize("text", [
+    "D(2,3)+R(5/2)", "2*D(2,3)", "D(1,2)+R(3/2)", "D(3,4)+R(5/2)", "D(2,3)+D(3,4)",
+])
+def test_row_secant_inclusion_matches_full_ambient_substitution(text):
+    x = space(text)
+    rep = verify_prolongation_theorems(parse_symbol(text), 2)
+    for e in rep["layers"]:
+        p_k = standard_prolong(decomposition(text).p, e["k"], x.sigma, weights=x.weights)
+        want = all(full_ambient_vanishes(x, ci, p_k.basis, e["k"])
+                   for ci in range(len(x.symbol.components)))
+        assert e["p_vanishes_on_row_secants"] is want
+
+
+@pytest.mark.parametrize("text", ["D(1,1)", "D(2,2)"])
+def test_row_certificate_matches_full_ambient_where_it_fails(text):
+    # infinite type: p^(k) does not vanish on the row secants, and verify
+    # reports null, so compare the two certificates directly
+    x = space(text)
+    for k in (1, 2):
+        p_k = standard_prolong(decomposition(text).p, k, x.sigma, weights=x.weights)
+        for ci in range(len(x.symbol.components)):
+            assert row_vanishes(x, ci, p_k.basis, k) is False
+            assert full_ambient_vanishes(x, ci, p_k.basis, k) is False
+
+
+def test_secant_certificate_rejects_a_conic_off_its_secant():
+    # y_i = t^i/i! satisfies 2 y0 y2 = y1^2, which fails on its chords
+    x = space("D(2,3)")
+    curve = shift_orbit_sampler(x, 0)
+    y0, y1, y2 = (MultiPoly.variable(curve.ambient, f"y{i}") for i in range(3))
+    conic = y0 * y2 * 2 - y1 * y1
+    assert secant_certificate(curve, 0)([conic])
+    assert not secant_certificate(curve, 1)([conic])
+    # in the whole space, a term off the row does not count
+    xs = [MultiPoly.variable(default_variables(x.dim), v) for v in default_variables(x.dim)]
+    boxes = _row_boxes(x, 0)
+    b0, b1, b2 = (xs[i] for i in boxes[:3])
+    off = next(xs[i] for i in range(x.dim) if i not in boxes)
+    for q, k, want in ((b0 * b2 * 2 - b1 * b1 + off * b0, 0, True),
+                       (b0 * b2 * 2 - b1 * b1, 1, False), (b0 * b1, 0, False)):
+        assert row_vanishes(x, 0, [q], k) is want
+        assert full_ambient_vanishes(x, 0, [q], k) is want
+
+
+@pytest.mark.parametrize("text", ["D(0,0)", "D(1,1)", "D(2,2)"])
+def test_verify_report_infinite_type_certifies_no_row_secants(text):
+    rep = verify_prolongation_theorems(parse_symbol(text), 6)
+    assert [e["p_vanishes_on_row_secants"] for e in rep["layers"]] == [None] * 6
+    assert rep["passes"]["row_secant_inclusion"] is None
 
 
 def test_verify_report_skips_small_rows():
@@ -447,7 +523,7 @@ def exp_curve(coeffs):
     ("D(2,3)", 0, 2), ("D(3,4)", 0, 2), ("D(3,5)", 1, 1),
 ])
 def test_secant_ideal_matches_one_block_reference(monkeypatch, text, j, kmax):
-    base = shift_orbit_sampler(space(text), 0, "F", restricted=True)
+    base = shift_orbit_sampler(space(text), 0)
     var = base if j == 0 else developable_sampler(base, j)
     for k in range(kmax + 1):
         want = reference_secant_ideal(var, k + 2, k)

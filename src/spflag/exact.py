@@ -85,7 +85,7 @@ def is_zero_matrix(a):
 _ZERO = Fraction(0)
 
 
-def _primitive(row):
+def primitive_row(row):
     """The integer row {col: int} proportional to a {col: value} dict or a
     sequence of rationals, with content 1 and zero entries dropped."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
@@ -145,7 +145,7 @@ class Echelon:
 
     def add(self, row):
         """Insert a row ({col: value} or a sequence); True iff the span grew."""
-        row = self._reduce(_primitive(row))
+        row = self._reduce(primitive_row(row))
         if not row:
             return False
         lead = min(row)
@@ -153,7 +153,7 @@ class Echelon:
         return True
 
     def contains(self, row):
-        return not self._reduce(_primitive(row))
+        return not self._reduce(primitive_row(row))
 
     @property
     def rank(self):

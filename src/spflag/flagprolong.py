@@ -2,10 +2,11 @@
 
 All computations are graded: degree-k matrices only populate entries that
 raise the box weight by k, so every kernel stays small.  Matrices are sparse
-{(i, j): c} dicts inside the module.  Graded sp(X) is read off the pairing,
-and every other subspace (the flag layers, the sl2-invariant part and its
-a/z split) is solved by one helper, _preimage, on sparse rows; dense
-Fraction tuples appear only in what is returned.
+{(i, j): c} dicts inside the module, integer wherever only a span is kept.
+Graded sp(X) and the sl2 triple are read off the model in closed form.  The
+flag layers, and the lowest-weight vectors that generate l(X) under ad f,
+are solved by one helper, _preimage, on sparse rows.  Dense Fraction tuples
+appear only in what is returned.
 Dimensions come out exact; the closed-form predictors never touch linear
 algebra.
 """
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .exact import (
     Echelon,
     frac,
+    primitive_row,
     spans_equal,
     vec,
 )
@@ -33,7 +35,6 @@ from .symbols import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def flatten_matrix(m):
@@ -67,31 +68,23 @@ def _admissible_degrees(x: GradedSymplecticSpace):
     """Degrees 0..spread stepping by 1, or by 1/2 for mixed-parity symbols."""
     spread = max(x.weights) - min(x.weights)
     step = HALF if index_parity(x.symbol) == "mixed" else Fraction(1)
-    out = []
-    d = Fraction(0)
-    while d <= spread:
-        out.append(d)
-        d += step
-    return tuple(out)
+    return tuple(step * i for i in range(int(spread / step) + 1))
 
 
-def _degree_positions(x, k):
-    """Index pairs (i, j), row by row, with w_i - w_j = k."""
-    at_weight = {}
-    for j, w in enumerate(x.weights):
-        at_weight.setdefault(w, []).append(j)
-    return [(i, j) for i, w in enumerate(x.weights) for j in at_weight.get(w - k, ())]
+def _twice_weights(x):
+    """The box weights doubled, so as integers (their denominators divide 2)."""
+    return [w.numerator * 2 // w.denominator for w in x.weights]
 
 
 # ---------------------------------------------------------------------------
 # sparse matrices {(i, j): c} and the one linear solver over them
 
-def _sparse(m):
-    return {(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}
-
-
 def _dense(m, n):
-    return tuple(tuple(m.get((i, j), _ZERO) for j in range(n)) for i in range(n))
+    rows = {}
+    for (i, j), c in m.items():
+        rows.setdefault(i, [_ZERO] * n)[j] = c if isinstance(c, Fraction) else Fraction(c)
+    zero = (_ZERO,) * n
+    return tuple(tuple(rows[i]) if i in rows else zero for i in range(n))
 
 
 def _subspace(basis, n):
@@ -117,13 +110,15 @@ def _bracket(a, b):
     return {key: c for key, c in out.items() if c}
 
 
-def _preimage(family, image, targets):
+def _preimage(family, image, targets, primitive=False):
     """The nonzero combinations of family whose image lies in span(targets).
 
     One sparse row per matrix position met by an image or a target; the
     unknowns are the family coefficients, then the target coefficients.
     Returns one combination per kernel vector of that system, so the result
-    is canonical for the family, its order and the targets' span.
+    is canonical for the family, its order and the targets' span.  With
+    primitive, each kernel vector is scaled to a primitive integer vector
+    first, so that an integer family gives integer combinations: same span.
     """
     if not family:
         return []
@@ -134,10 +129,11 @@ def _preimage(family, image, targets):
             rows.setdefault(p, {})[j] = c
     out = []
     for v in Echelon(len(columns), rows.values()).kernel():
+        v = v[:len(family)]
         combo = {}
-        for c, m in zip(v, family):
+        for j, c in primitive_row(v).items() if primitive else enumerate(v):
             if c:
-                for p, y in m.items():
+                for p, y in family[j].items():
                     combo[p] = combo.get(p, 0) + c * y
         combo = {p: y for p, y in combo.items() if y}
         if combo:
@@ -151,32 +147,42 @@ def _span_reduce(mats, n):
     return Echelon(n * n, mats).reduced_rows()
 
 
-def _graded_basis(x, k, conformal=False):
-    """Sparse basis of the degree-k part of sp(X), or of csp(X), read off the
-    pairing.  It needs sigma to have one nonzero per row: sigma[a][pi(a)] =
-    s_a with pi an involution pairing weight w with -w.  Then A is in sp(X)
-    iff A[pi(b), pi(a)] = -s_a s_b A[a, b], which ties each degree-k
-    position to one mate of the same degree; a position with b = pi(a) is
-    free.  One element per pair, at its later position q with the mate
-    first, and the scaling element last: the canonical kernel basis of the
-    defining equations, with the positions as columns in order."""
-    k = frac(k)
+def _graded_bases(x, degrees, conformal=False):
+    """Sparse integer bases of the degree-k parts of sp(X), or of csp(X), for
+    each k in degrees, read off the pairing.  It needs sigma to have one
+    nonzero per row: sigma[a][pi(a)] = s_a with pi an involution pairing
+    weight w with -w.  Then A is in sp(X) iff A[pi(b), pi(a)] = -s_a s_b
+    A[a, b], which ties each degree-k position to one mate of the same
+    degree; a position with b = pi(a) is free.  One element per pair, at its
+    later position q with the mate first, and the scaling element last: the
+    canonical kernel basis of the defining equations, with the positions as
+    columns in order.  Pairing and weights are read once for all degrees."""
     pi, s = {}, {}
     for a, row in enumerate(x.sigma):
         for b, c in enumerate(row):
             if c:
-                pi[a], s[a] = b, c
-    out = []
-    # positions come row by row, so a mate met earlier compares smaller
-    for q in _degree_positions(x, k):
-        a, b = q
-        mate = (pi[b], pi[a])
-        if mate == q:
-            out.append({q: _ONE})
-        elif mate < q:
-            out.append({mate: -s[a] * s[b], q: _ONE})
-    if conformal and k == 0:
-        out.append({(a, a): _ONE for a in range(x.dim) if a < pi[a]})
+                pi[a], s[a] = b, int(c)
+    twice = _twice_weights(x)
+    at_weight = {}
+    for j, w in enumerate(twice):
+        at_weight.setdefault(w, []).append(j)
+    out = {}
+    for k in degrees:
+        k2 = 2 * frac(k)
+        basis = out[k] = []
+        if k2.denominator != 1:
+            continue
+        # positions come row by row, so a mate met earlier compares smaller
+        for i, w in enumerate(twice):
+            for j in at_weight.get(w - k2.numerator, ()):
+                q = (i, j)
+                mate = (pi[j], pi[i])
+                if mate == q:
+                    basis.append({q: 1})
+                elif mate < q:
+                    basis.append({mate: -s[i] * s[j], q: 1})
+        if conformal and k == 0:
+            basis.append({(a, a): 1 for a in range(x.dim) if a < pi[a]})
     return out
 
 
@@ -186,7 +192,8 @@ def graded_symplectic_basis(x: GradedSymplecticSpace, k, conformal=False):
     Only k = 0 admits a conformal part; for k != 0 the scaling term is forced
     to vanish by grading, so conformal makes no difference there.
     """
-    return tuple(_dense(m, x.dim) for m in _graded_basis(x, k, conformal))
+    (basis,) = _graded_bases(x, [k], conformal).values()
+    return tuple(_dense(m, x.dim) for m in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +206,31 @@ class Sl2Triple:
     f: tuple
 
 
-def sl2_triple(x: GradedSymplecticSpace) -> Sl2Triple:
-    """Lowering operator = the shift; h and f solved row by row.
+def _sl2(x):
+    """e, h, f as sparse integer matrices: e is the shift, and on a row with
+    bottom r and top q the h-eigenvalue at weight w is 2w - (r + q) and the
+    raising coefficient from weight w is (w - r + 1)(w - q).  These are the
+    unique choices making [e,f] = h, [h,e] = -2e, [h,f] = 2f hold with e the
+    shift.  Weights are doubled to stay integers."""
+    twice = _twice_weights(x)
+    ends = [(int(2 * r.bottom), int(2 * r.top)) for r in rows_of(x.symbol)]
+    index_at = {(ri, w): i for i, (ri, w) in enumerate(zip(x.row_index, twice))}
+    e, h, f = {}, {}, {}
+    for i, (ri, w) in enumerate(zip(x.row_index, twice)):
+        r, q = ends[ri]
+        if 2 * w != r + q:
+            h[i, i] = w - (r + q) // 2
+        up = index_at.get((ri, w + 2))
+        if up is not None:
+            e[i, up] = 1
+            f[up, i] = ((w - r) // 2 + 1) * ((w - q) // 2)
+    return e, h, f
 
-    On a row with bottom r and top q the h-eigenvalue at weight w is
-    2w - (r + q) and the raising coefficient from weight w is
-    (w - r + 1)(w - q); these are the unique choices making [e,f] = h,
-    [h,e] = -2e, [h,f] = 2f hold with e the shift.
-    """
-    n = x.dim
-    rows = rows_of(x.symbol)
-    h = [[Fraction(0)] * n for _ in range(n)]
-    f = [[Fraction(0)] * n for _ in range(n)]
-    index_at = {(x.row_index[i], x.weights[i]): i for i in range(n)}
-    for i in range(n):
-        r = rows[x.row_index[i]]
-        w = x.weights[i]
-        h[i][i] = 2 * w - (r.bottom + r.top)
-        if w < r.top:
-            up = index_at[(x.row_index[i], w + 1)]
-            f[up][i] = (w - r.bottom + 1) * (w - r.top)
-    return Sl2Triple(x.shift, tuple(tuple(row) for row in h), tuple(tuple(row) for row in f))
+
+def sl2_triple(x: GradedSymplecticSpace) -> Sl2Triple:
+    """The sl2 triple of _sl2 as dense Fraction matrices; e is the shift."""
+    _, h, f = _sl2(x)
+    return Sl2Triple(x.shift, _dense(h, x.dim), _dense(f, x.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +270,13 @@ def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     weight spread (or k_max) are computed; there is no early termination.
     """
     n = x.dim
-    shift = _sparse(x.shift)
+    shift, _, _ = _sl2(x)
     degrees = [d for d in _admissible_degrees(x) if k_max is None or d <= frac(k_max)]
+    bases = _graded_bases(x, degrees, conformal=True)
     found = {}
     for k in degrees:
-        if k == 0:
-            prev = [shift] if shift else []
-        elif k == HALF:
-            prev = []
-        else:
-            prev = found[k - 1]
-        found[k] = _preimage(
-            _graded_basis(x, k, conformal=True), lambda a: _bracket(a, shift), prev)
+        prev = found[k - 1] if k >= 1 else [shift] if k == 0 and shift else []
+        found[k] = _preimage(bases[k], lambda a: _bracket(a, shift), prev)
     layers = {k: _subspace(found[k], n) for k in degrees}
     delta_dim = 1 if shift else 0
     total = delta_dim + sum(layers[d].dim for d in degrees)
@@ -291,44 +297,45 @@ class AZPDecomposition:
     p: MatrixSubspace
 
 
+def _lowest_weight_vectors(x, e):
+    """ker(ad e) in sp(X)_k for each admissible degree k >= 0, as primitive
+    integer matrices: one _preimage per degree, with no targets."""
+    return [m for basis in _graded_bases(x, _admissible_degrees(x)).values()
+            for m in _preimage(basis, lambda m: _bracket(e, m), [], primitive=True)]
+
+
 def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
-    """Greatest sl2-invariant subspace of nonnegative-degree sp(X), split into
-    the row-diagonal part and its complement."""
+    """Greatest sl2-invariant subspace l(X) of nonnegative-degree sp(X), split
+    into the row-diagonal part and its complement.
+
+    l(X) is spanned by the ad f-strings of its lowest-weight vectors.  e, h
+    and f lie in sp(X), so sp(X) is a completely reducible sl2-module.  ad e
+    lowers the degree by 1, ad f raises it by 1 and the grading commutes with
+    ad h, so l(X) is graded, and each irreducible summand of it is generated
+    under ad f by its lowest vector, which lies in ker ad e.  ker ad e is
+    ad h-stable, so its vectors of degree >= 0 generate only degrees >= 0.
+    """
     n = x.dim
-    triple = sl2_triple(x)
-    e, h, f = (_sparse(m) for m in (triple.e, triple.h, triple.f))
-    # e lowers and f raises the weight, so [e, m] and [f, m] never overlap
-    # and one bracket with e + f carries both
-    e_plus_f = {**e, **f}
-    degrees = _admissible_degrees(x)
-    fam = {k: _graded_basis(x, k) for k in degrees}
-    changed = True
-    while changed:
-        changed = False
-        for k in degrees:
-            cur = fam[k]
-            if not cur:
-                continue
-            near = fam.get(k - 1, []) + fam.get(k + 1, [])
-            new = _span_reduce(_preimage(cur, lambda m: _bracket(e_plus_f, m), near), n)
-            if len(new) != len(cur):
-                fam[k] = new
-                changed = True
+    e, h, f = _sl2(x)
+    generated, string = [], _lowest_weight_vectors(x, e)
+    while string:
+        generated += string
+        string = [m for m in (_bracket(f, m) for m in string) if m]
 
     def off_rows(m):
         return {p: c for p, c in m.items() if x.row_index[p[0]] != x.row_index[p[1]]}
 
-    l_basis = _span_reduce([m for k in degrees for m in fam[k]], n)
-    r_basis = _span_reduce(l_basis + [e, h, f], n)
+    l_basis = _span_reduce(generated, n)
+    r_basis = _span_reduce(generated + [e, h, f], n)
     # a: elements of r(u^F) preserving every row subspace; z: a meets l(X);
     # p: the off-row-block projection of l(X)
-    a_basis = _span_reduce(_preimage(r_basis, off_rows, []), n)
-    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis), n)
-    p_basis = _span_reduce([off_rows(m) for m in l_basis], n)
+    a_basis = _span_reduce(_preimage(r_basis, off_rows, [], primitive=True), n)
+    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis, primitive=True), n)
+    p_basis = _span_reduce([off_rows(m) for m in generated], n)
 
     return AZPDecomposition(
         space=x,
-        sl2=triple,
+        sl2=Sl2Triple(x.shift, _dense(h, n), _dense(f, n)),
         l_of_x=_subspace(l_basis, n),
         r_of_uf=_subspace(r_basis, n),
         a=_subspace(a_basis, n),
@@ -339,18 +346,11 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
 
 def row_scaling_generators(x: GradedSymplecticSpace):
     """The matrices acting as +1 on one paired row and -1 on its mirror."""
-    out = []
     rows = rows_of(x.symbol)
-    for ci, c in enumerate(x.symbol.components):
-        if not isinstance(c, TwoRow):
-            continue
-        m = [[Fraction(0)] * x.dim for _ in range(x.dim)]
-        for i in range(x.dim):
-            r = rows[x.row_index[i]]
-            if r.component == ci:
-                m[i][i] = Fraction(1) if r.kind == "E" else Fraction(-1)
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
+    return tuple(
+        _dense({(i, i): 1 if rows[ri].kind == "E" else -1
+                for i, ri in enumerate(x.row_index) if rows[ri].component == ci}, x.dim)
+        for ci, c in enumerate(x.symbol.components) if isinstance(c, TwoRow))
 
 
 def rank_one_element(x: GradedSymplecticSpace, v):

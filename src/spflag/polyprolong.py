@@ -206,7 +206,6 @@ class VarietySampler:
     params: tuple     # parameter names
     coords: tuple     # MultiPoly over params, one per ambient coordinate
     ambient: tuple    # ambient variable names
-    degree: int       # bound on the coordinate degrees
     param_weights: tuple = None   # weight of each parameter, if any is known
 
 
@@ -228,7 +227,7 @@ def shift_orbit_sampler(x: GradedSymplecticSpace, component):
     n = len(_row_boxes(x, component))
     t = MultiPoly.variable(("t",), "t")
     curve = tuple(t ** i * Fraction(1, math.factorial(i)) for i in range(n))
-    return VarietySampler(("t",), curve, tuple(f"y{i}" for i in range(n)), n - 1, (1,))
+    return VarietySampler(("t",), curve, tuple(f"y{i}" for i in range(n)), (1,))
 
 
 def developable_sampler(base: VarietySampler, j):
@@ -246,8 +245,7 @@ def developable_sampler(base: VarietySampler, j):
             total = total + deriv.subs({"t": t_new}) * u_i
             deriv = deriv.derivative("t")
         coords.append(total)
-    return VarietySampler(params, tuple(coords), base.ambient, base.degree + 1,
-                          (1,) + tuple(range(j + 1)))
+    return VarietySampler(params, tuple(coords), base.ambient, (1,) + tuple(range(j + 1)))
 
 
 def _secant_parametrization(v: VarietySampler, k):

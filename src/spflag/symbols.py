@@ -64,7 +64,11 @@ def make_symbol(components):
 # ---------------------------------------------------------------------------
 # text grammar
 
-_TERM = re.compile(r"^(?:(\d+)\s*\*\s*)?(D|R)\s*\((.*)\)$")
+# ASCII only: \d and int() would also take other scripts' decimal digits
+_TERM = re.compile(r"^(?:(\d+)\s*\*\s*)?(D|R)\s*\((.*)\)$", re.ASCII)
+_INTEGER = re.compile(r"-?\d+", re.ASCII)
+_HALF_INTEGER = re.compile(r"(-?\d+)\s*/\s*2", re.ASCII)
+_NATURAL = re.compile(r"\d+", re.ASCII)
 
 # Largest total dim_x (multiplicity times boxes, summed over the terms) that
 # parse_symbol accepts, checked before any component is expanded; also the
@@ -74,9 +78,9 @@ MAX_DIM_X = 1000
 
 def _parse_number(tok, what):
     tok = tok.strip()
-    if re.fullmatch(r"-?\d+", tok):
+    if _INTEGER.fullmatch(tok):
         return Fraction(int(tok))
-    m = re.fullmatch(r"(-?\d+)\s*/\s*2", tok)
+    m = _HALF_INTEGER.fullmatch(tok)
     if m:
         return Fraction(int(m.group(1)), 2)
     raise SymbolSyntaxError(f"cannot read {what} {tok!r} (expected an integer or p/2)")
@@ -102,7 +106,7 @@ def parse_symbol(text):
                 raise SymbolSyntaxError(f"D takes two arguments, got {term!r}")
             s = _parse_number(args[0], "row top")
             ltok = args[1].strip()
-            if not re.fullmatch(r"\d+", ltok):
+            if not _NATURAL.fullmatch(ltok):
                 raise SymbolSyntaxError(f"row length must be a nonnegative integer in {term!r}")
             comp, boxes = TwoRow(s, int(ltok)), 2 * (int(ltok) + 1)
         else:

@@ -82,6 +82,16 @@ def test_parse_rejects_bad_term(capsys):
     assert "bad term" in err
 
 
+@pytest.mark.parametrize("argv,token", [
+    (("verify", "--spec", "D(\u0663,4)"), "\u0663"),
+    (("symbol", "parse", "--spec", "R(\uff11/2)"), "\uff11/2"),
+])
+def test_non_ascii_digits_are_one_error_line(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read row top {token!r} (expected an integer or p/2)\n"
+
+
 @pytest.mark.parametrize("spec", ["99999999*D(1,2)", "R(99999999/2)", "D(1,999)+D(1,2)"])
 def test_parse_rejects_symbols_over_the_size_budget(capsys, spec):
     code, out, err = run(capsys, "symbol", "parse", "--spec", spec)

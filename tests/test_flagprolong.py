@@ -22,6 +22,15 @@ from spflag.exact import (
 )
 from spflag.flagprolong import (
     MatrixSubspace,
+    _admissible_degrees,
+    _bracket,
+    _dense,
+    _graded_bases,
+    _lowest_weight_vectors,
+    _preimage,
+    _sl2,
+    _span_reduce,
+    _subspace,
     decompose_azp,
     flag_prolong,
     flatten_matrix,
@@ -146,7 +155,7 @@ def test_graded_basis_members_are_symplectic(text):
 def test_sl2_relations(text):
     x = space(text)
     t = sl2_triple(x)
-    assert t.e == x.shift
+    assert t.e == x.shift == _dense(_sl2(x)[0], x.dim)
     minus_two_e = tuple(tuple(-2 * v for v in row) for row in t.e)
     two_f = tuple(tuple(2 * v for v in row) for row in t.f)
     assert commutator(t.e, t.f) == t.h
@@ -315,6 +324,71 @@ def test_l_is_sl2_invariant_degree_by_degree(text):
             image = commutator(op, m)
             assert _degrees(x, image) <= {k + step}
             assert dec.l_of_x.contains(image)
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES + ["D(2,0)", "D(1,1)"])
+def test_lowest_weight_vectors_are_killed_by_e(text):
+    x = space(text)
+    vectors = _lowest_weight_vectors(x, _sl2(x)[0])
+    assert vectors
+    for m in vectors:
+        assert all(type(c) is int for c in m.values())
+        dense = _dense(m, x.dim)
+        assert min(_degrees(x, dense)) >= 0
+        assert is_zero_matrix(commutator(x.shift, dense))
+
+
+def _fixpoint_l_of_x(x):
+    """Reference for decompose_azp: (l, r, a, z, p) with l(X) found as the
+    greatest subspace of nonnegative-degree sp(X) closed under ad e and ad f
+    by shrinking each degree to the preimage of its neighbours until nothing
+    changes, all on Fraction matrices."""
+    n = x.dim
+    triple = sl2_triple(x)
+    e, h, f = ({(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}
+               for m in (triple.e, triple.h, triple.f))
+    # e lowers and f raises the weight, so [e, m] and [f, m] never overlap
+    # and one bracket with e + f carries both
+    e_plus_f = {**e, **f}
+    degrees = _admissible_degrees(x)
+    fam = {k: [{p: Fraction(c) for p, c in m.items()} for m in basis]
+           for k, basis in _graded_bases(x, degrees).items()}
+    changed = True
+    while changed:
+        changed = False
+        for k in degrees:
+            cur = fam[k]
+            if not cur:
+                continue
+            near = fam.get(k - 1, []) + fam.get(k + 1, [])
+            new = _span_reduce(_preimage(cur, lambda m: _bracket(e_plus_f, m), near), n)
+            if len(new) != len(cur):
+                fam[k] = new
+                changed = True
+
+    def off_rows(m):
+        return {p: c for p, c in m.items() if x.row_index[p[0]] != x.row_index[p[1]]}
+
+    l_basis = _span_reduce([m for k in degrees for m in fam[k]], n)
+    r_basis = _span_reduce(l_basis + [e, h, f], n)
+    a_basis = _span_reduce(_preimage(r_basis, off_rows, []), n)
+    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis), n)
+    p_basis = _span_reduce([off_rows(m) for m in l_basis], n)
+    return tuple(_subspace(b, n) for b in (l_basis, r_basis, a_basis, z_basis, p_basis))
+
+
+# every third symbol keeps the oracle near 5 s; the whole universe runs in
+# acceptance 06 against the closed formulas
+ORACLE_STRIDE = 3
+
+
+def test_lowest_weight_construction_matches_fixpoint():
+    universe = formula_universe()
+    for name in sorted(universe)[::ORACLE_STRIDE]:
+        x = build_model_space(universe[name])
+        dec = decompose_azp(x)
+        got = (dec.l_of_x, dec.r_of_uf, dec.a, dec.z, dec.p)
+        assert repr(got) == repr(_fixpoint_l_of_x(x)), name
 
 
 @pytest.mark.parametrize("text", SL2_SAMPLES)

@@ -248,7 +248,7 @@ def full_ambient_vanishes(x, ci, polys, k):
     for pos, i in enumerate(_row_boxes(x, ci)):
         full[i] = row.coords[pos]
     curve = VarietySampler(row.params, tuple(full), default_variables(x.dim),
-                           row.degree, row.param_weights)
+                           row.param_weights)
     _, point = _secant_parametrization(curve, k)
     subs_map = dict(zip(curve.ambient, point))
     return all(not q.subs(subs_map).terms for q in polys)
@@ -516,7 +516,7 @@ def exp_curve(coeffs):
     for i in range(4):
         fact *= max(i, 1)
         coords.append(p ** i * Fraction(1, fact))
-    return VarietySampler(("t",), tuple(coords), ("y0", "y1", "y2", "y3"), 3, (1,))
+    return VarietySampler(("t",), tuple(coords), ("y0", "y1", "y2", "y3"), (1,))
 
 
 @pytest.mark.parametrize("text,j,kmax", [

@@ -77,6 +77,13 @@ def test_parse_errors():
             parse_symbol(bad)
 
 
+@pytest.mark.parametrize("text", ["D(\u0663,4)", "R(\uff11/2)", "\u0662*D(1,2)", "D(1,\u0664)"])
+def test_parse_takes_only_ascii_digits(text):
+    # \d and int() would read Arabic-Indic or fullwidth digits as 3, 1, 2, 4
+    with pytest.raises(SymbolSyntaxError):
+        parse_symbol(text)
+
+
 def test_constraint_errors():
     with pytest.raises(ConstraintError):
         parse_symbol("R(2)")        # not half-odd

@@ -285,7 +285,7 @@ def _eval_col(col, t0, n):
 
 def _integral(rows):
     """The primitive integer rows proportional to rows, by one constant."""
-    rows = [[frac(x) for x in r] for r in rows]
+    rows = [[x if type(x) is int else frac(x) for x in r] for r in rows]
     den = math.lcm(*(x.denominator for r in rows for x in r))
     rows = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
     g = math.gcd(*(x for r in rows for x in r)) or 1
@@ -430,10 +430,13 @@ def _sigma_row(sigma, v):
 
 
 def _skew_complement(basis, sigma):
+    """A basis of the skew-orthogonal complement of the span of basis: the
+    canonical kernel vectors, each scaled to a primitive integer vector."""
     n = len(sigma)
     if not basis:
-        return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    return kernel_basis([_sigma_row(sigma, b) for b in basis])
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple(_integral((v,))[0]
+                 for v in kernel_basis([_sigma_row(sigma, b) for b in basis]))
 
 
 def _check_regular(level, rank0, probes, n):
@@ -458,30 +461,32 @@ class _ComplementJets:
     of the span of a column family.  At a regular point the truncated system
     has the same solution dimension as the space of jets of true sections, so
     its solutions are exactly those jets; a failed extension step certifies a
-    rank drop of the pairing at t = 0."""
+    rank drop of the pairing at t = 0.  Jets are integer: each is scaled by
+    one integer when a coefficient is appended, and the extension of a
+    scaled jet is the scaled extension, so every span stays the same."""
 
     def __init__(self, cols, sigma):
         self.n = len(sigma)
         # coeff_rows[c][q]: coefficient of t^q in the row col_c(t)^T sigma,
         # for q up to the degree of col_c
-        self.coeff_rows = [[_sigma_row(sigma, c) for c in col] or [zero_vector(self.n)]
+        self.coeff_rows = [[_sigma_row(sigma, c) for c in col] or [(0,) * self.n]
                            for col in cols]
         self.r0 = [pr[0] for pr in self.coeff_rows]
-        self.kernel = kernel_basis(self.r0)
+        self.kernel = [_integral((v,))[0] for v in kernel_basis(self.r0)]
         self.jets = [[k] for k in self.kernel]
         self.order = 0
 
     def ensure(self, order):
         while self.order < order:
             p = self.order + 1
-            rhss = [[-sum((x * y for q in range(1, min(p, len(pr) - 1) + 1)
-                           for x, y in zip(pr[q], jet[p - q]) if x and y), ZERO)
+            rhss = [[-sum(x * y for q in range(1, min(p, len(pr) - 1) + 1)
+                          for x, y in zip(pr[q], jet[p - q]) if x and y)
                      for pr in self.coeff_rows] for jet in self.jets]
             sols = solve_all(self.r0, rhss, self.n)
             if sols is None:
                 raise NonRegularPoint("complement section jet does not extend")
-            self.jets = ([jet + [sol] for jet, sol in zip(self.jets, sols)]
-                         + [[zero_vector(self.n)] * p + [k] for k in self.kernel])
+            self.jets = ([list(_integral(jet + [sol])) for jet, sol in zip(self.jets, sols)]
+                         + [[(0,) * self.n] * p + [k] for k in self.kernel])
             self.order = p
 
 
@@ -496,6 +501,9 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     case seeds its half-odd chain with jets of complement sections.  The
     symbol is read off the rank profile of the iterated degree-lowering maps
     induced on the graded pieces by differentiation of sections at t = 0.
+    It depends only on spans, ranks and greedy independence picks, which a
+    nonzero scale on a vector or a jet leaves alone, so columns, fibers,
+    complements, jets and one-jets are primitive integer vectors here.
     """
     if isinstance(curve, FlagCurve):
         case = rank_parity or curve.case
@@ -536,7 +544,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
                 kept.append((val, der))
         level += newest
         _check_regular(level, fiber.rank, probes, n)
-        fibers[bottom], cands[bottom] = fiber.rref()[0], list(kept)
+        fibers[bottom], cands[bottom] = fiber.integer_rows(), list(kept)
         if fiber.rank == n:
             break
         if int(base - bottom) > maxdeg:
@@ -559,7 +567,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
             pairs = [(s[j], tuple((j + 1) * e for e in s[j + 1]))
                      for s, m in series for j in range(m)]
             idx = -HALF - k
-            fibers[idx] = Echelon(n, [v for v, _ in pairs]).rref()[0]
+            fibers[idx] = Echelon(n, [v for v, _ in pairs]).integer_rows()
             # thinned to pairs spanning the same jet space, which is all
             # that constraints and fiber spans computed from them see
             span = Echelon(2 * n)
@@ -577,9 +585,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     def fiber_at(i):
         if i in fibers:
             return fibers[i]
-        if i < bottom:
-            return tuple(tuple(ONE if a == b else ZERO for b in range(n)) for a in range(n))
-        return ()
+        return _skew_complement((), sigma) if i < bottom else ()
 
     # members above the base: complements, representatives from one-jets
     pos = ONE if case == "even" else base + step
@@ -603,7 +609,8 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         v1s = solve_all(r0, rhss, n)
         if v1s is None:
             raise NonRegularPoint("complement section jet does not extend")
-        cands[pos] = list(zip(fibers[pos], v1s))
+        # each one-jet scaled to integers as a pair, which keeps it a one-jet
+        cands[pos] = [_integral(pair) for pair in zip(fibers[pos], v1s)]
         pos += step
 
     grid = sorted(fibers)

@@ -7,6 +7,7 @@ codes: 0 success, 1 usage or input errors, 2 a verification check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -642,7 +643,9 @@ def _add_common(p, spec=True, n=False, rank=False, kmax=False, seed=False):
     p.add_argument("--out", help="write the report to this file")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built at the first call (the first main()) and reused."""
     parser = _Parser(prog="spflag", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -696,9 +699,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if not hasattr(args, "func"):
             raise _UsageError("missing subcommand; see --help")
         return args.func(args)

@@ -92,8 +92,9 @@ def primitive_row(row):
     row = {j: x for j, x in items if x}
     if not row:
         return row
-    den = math.lcm(*(x.denominator for x in row.values()))
-    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    if not all(type(x) is int for x in row.values()):
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     g = math.gcd(*row.values())
     return {j: x // g for j, x in row.items()} if g != 1 else row
 
@@ -189,6 +190,12 @@ class Echelon:
                 basis.append(tuple(v))
         return tuple(basis)
 
+    def integer_rows(self):
+        """The rows of rref(), each scaled to a primitive integer tuple."""
+        self._back_reduce()
+        return tuple(tuple(row.get(j, 0) for j in range(self.ncols))
+                     for _, row in sorted(self.rows.items()))
+
     def reduced_rows(self):
         """The rows of rref() as sparse {col: Fraction} dicts.  Columns need
         only be ordered, so they may also be (i, j) matrix positions."""
@@ -200,13 +207,8 @@ class Echelon:
 
     def rref(self):
         """Reduced row echelon form: (rows as Fraction tuples, pivot columns)."""
-        out = []
-        for row in self.reduced_rows():
-            v = [_ZERO] * self.ncols
-            for j, x in row.items():
-                v[j] = x
-            out.append(tuple(v))
-        return tuple(out), tuple(sorted(self.rows))
+        return (tuple(tuple(row.get(j, _ZERO) for j in range(self.ncols))
+                      for row in self.reduced_rows()), tuple(sorted(self.rows)))
 
 
 def rank(a):

@@ -158,16 +158,24 @@ def symbol_to_json(sym: FlagSymbol) -> dict:
     return {"schema": "sp-1", "components": comps}
 
 
+def _json_number(x, what, integer=False):
+    """A JSON int (not a bool) or an ASCII number string read by
+    _parse_number; a float, a bool or other digits are refused."""
+    text = str(x).strip()
+    if type(x) is not int and not isinstance(x, str) or integer and not _INTEGER.fullmatch(text):
+        raise SymbolSyntaxError(f"cannot read {what} {x!r}")
+    return _parse_number(text, what)
+
+
 def symbol_from_json(data) -> FlagSymbol:
     try:
         comps = []
         for c in data["components"]:
             if c["type"] == "D":
-                s = c["s"]
-                s = Fraction(s) if isinstance(s, int) else _parse_number(str(s), "row top")
-                comps.append(TwoRow(s, int(c["l"])))
+                comps.append(TwoRow(_json_number(c["s"], "row top"),
+                                    int(_json_number(c["l"], "row length", True))))
             elif c["type"] == "R":
-                comps.append(OneRow(int(c["m2"])))
+                comps.append(OneRow(int(_json_number(c["m2"], "twice the row top", True))))
             else:
                 raise SymbolSyntaxError(f"unknown component type {c['type']!r}")
     except (KeyError, TypeError) as exc:

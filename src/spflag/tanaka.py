@@ -16,6 +16,8 @@ from .errors import CapReached, JacobiViolation
 from .exact import kernel_basis, rref, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
+_ZERO = Fraction(0)
+
 
 def conformal_factor(a, sigma):
     """The scalar c with sigma(Av, w) + sigma(v, Aw) = c sigma(v, w).
@@ -85,22 +87,15 @@ class _Engine:
         self.layers = []
 
     def dim(self, k):
-        if k == -3:
-            return 0
-        if k == -2:
-            return 1
-        if k == -1:
-            return self.n
-        if k == 0:
-            return len(self.g0)
-        if k - 1 < len(self.layers):
-            return len(self.layers[k - 1])
-        return 0
+        if k <= 0:
+            return {-3: 0, -2: 1, -1: self.n, 0: len(self.g0)}[k]
+        return len(self.layers[k - 1]) if k - 1 < len(self.layers) else 0
 
     def actions(self, j):
         """Sparse rows of [ . , v_a] and [ . , z] on degree j: av[a][r] and
         az[r] map s to the coefficient of basis element r of degree j - 1
-        (resp. j - 2) in the bracket of basis element s of degree j."""
+        (resp. j - 2) in the bracket of basis element s of degree j.
+        Integral coefficients are ints, so most Leibniz rows are integer."""
         if j == -1:
             elems = [((row,), ()) for row in self.sigma]
         elif j == 0:
@@ -113,17 +108,17 @@ class _Engine:
             for r, row in enumerate(m1):
                 for a, c in enumerate(row):
                     if c:
-                        av[a][r][s] = c
+                        av[a][r][s] = c.numerator if c.denominator == 1 else c
             for r, c in enumerate(m2):
                 if c:
-                    az[r][s] = c
+                    az[r][s] = c.numerator if c.denominator == 1 else c
         return av, az
 
     def next_layer(self, k):
         """Degree-k layer: the kernel of the Leibniz identities on the unknown
         (M1, M2), with M1[r][a] at column a * d1 + r and M2[r] at m2_off + r.
-        Each identity is built from the nonzeros of the actions and written
-        into an integer row of zeros."""
+        Each identity is a sparse {column: value} row built from the nonzeros
+        of the actions; identities without terms are dropped."""
         n = self.n
         d1 = self.dim(k - 1)   # target of M1 columns
         d2 = self.dim(k - 2)   # target of M2
@@ -132,33 +127,67 @@ class _Engine:
         if nvars == 0:
             return ()
         rows = []
-
-        def put(*parts):
-            row = [0] * nvars
-            for off, entries, sign in parts:
-                for s, c in entries.items():
-                    row[off + s] = sign * c
-            rows.append(row)
-            return row
-
         av, az = self.actions(k - 1)
         # Leibniz over generator pairs:
         #   sigma_ab m2 = [phi(v_a), v_b] - [phi(v_b), v_a]
         for a in range(n):
             for b in range(a + 1, n):
                 for r in range(d2):
-                    put((a * d1, av[b][r], 1),
-                        (b * d1, av[a][r], -1))[m2_off + r] = -self.sigma[a][b]
+                    row = {a * d1 + s: c for s, c in av[b][r].items()}
+                    row.update((b * d1 + s, -c) for s, c in av[a][r].items())
+                    if self.sigma[a][b]:
+                        row[m2_off + r] = -self.sigma[a][b]
+                    rows.append(row)
         # Leibniz over (generator, center) pairs:
         #   [phi(v_a), z] + [v_a, phi(z)] = 0
         av2, _ = self.actions(k - 2)
         for a in range(n):
             for r, zrow in enumerate(az):
-                put((a * d1, zrow, 1), (m2_off, av2[a][r], -1))
+                row = {a * d1 + s: c for s, c in zrow.items()}
+                row.update((m2_off + s, -c) for s, c in av2[a][r].items())
+                rows.append(row)
         return tuple(
-            LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
-                         v[m2_off:])
-            for v in kernel_basis(rows or [[0] * nvars]))
+            LayerElement(tuple(tuple(v.get(a * d1 + r, _ZERO) for a in range(n))
+                               for r in range(d1)),
+                         tuple(v.get(m2_off + r, _ZERO) for r in range(d2)))
+            for v in _block_kernel([row for row in rows if row], nvars))
+
+
+def _block_kernel(rows, nvars):
+    """The canonical kernel basis of sparse {column: value} rows, as sparse
+    vectors, solved one block at a time.  The blocks are the connected
+    components of the columns that share a row; each goes to kernel_basis as
+    short dense rows over its own columns, and a column in no row is a block
+    of its own with kernel (1,).  The rref of a block-diagonal system is
+    block-diagonal, so the block kernels, merged by free column, are the
+    kernel basis of the whole system.  A kernel vector's free column is its
+    last nonzero: an rref row has its other nonzeros at free columns right of
+    its lead."""
+    parent = list(range(nvars))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in rows:
+        for c in row:
+            parent[root(c)] = root(next(iter(row)))
+    blocks = {}     # root -> (columns, rows)
+    for c in range(nvars):
+        blocks.setdefault(root(c), ([], []))[0].append(c)
+    for row in rows:
+        blocks[root(next(iter(row)))][1].append(row)
+    found = []
+    for cols, block in blocks.values():
+        local = {c: i for i, c in enumerate(cols)}
+        dense = [[0] * len(cols) for _ in block]
+        for line, row in zip(dense, block):
+            for c, x in row.items():
+                line[local[c]] = x
+        for v in kernel_basis(dense) if dense else ((Fraction(1),),):
+            found.append({cols[i]: x for i, x in enumerate(v) if x})
+    return sorted(found, key=max)
 
 
 def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:

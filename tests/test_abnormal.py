@@ -14,6 +14,8 @@ from spflag.abnormal import (
     _dcol,
     _eval_col,
     _integral,
+    _sigma_row,
+    _skew_complement,
     characteristic_direction,
     degeneracy_locus,
     derived_filtration,
@@ -379,10 +381,12 @@ def test_extract_flags_rank_drop_at_origin():
 
 
 def reference_jets(cols, sigma, order):
-    """Complement jets extended one jet at a time with solve_linear."""
+    """Complement jets extended one jet at a time with solve_linear, from
+    the canonical Fraction kernel and without any rescaling."""
     jets = _ComplementJets(cols, sigma)
     r0, n = jets.r0, jets.n
-    out = [[k] for k in jets.kernel]
+    kernel = kernel_basis(r0)
+    out = [[k] for k in kernel]
     for p in range(1, order + 1):
         extended = []
         for jet in out:
@@ -393,8 +397,19 @@ def reference_jets(cols, sigma, order):
             if sol is None:
                 raise NonRegularPoint("complement section jet does not extend")
             extended.append(jet + [tuple(sol)])
-        out = extended + [[(Fraction(0),) * n] * p + [k] for k in jets.kernel]
+        out = extended + [[(Fraction(0),) * n] * p + [k] for k in kernel]
     return out
+
+
+def scalar_multiple(jet, ref):
+    """True iff jet = c * ref for some nonzero c, coefficient by coefficient."""
+    flat = [Fraction(x) for c in jet for x in c]
+    ref = [x for c in ref for x in c]
+    if len(flat) != len(ref) or not any(ref):
+        return False
+    i = next(i for i, x in enumerate(ref) if x)
+    c = flat[i] / ref[i]
+    return c != 0 and all(x == c * y for x, y in zip(flat, ref))
 
 
 def test_complement_jets_match_one_solve_per_jet():
@@ -408,7 +423,34 @@ def test_complement_jets_match_one_solve_per_jet():
             for _ in range(2))
         jets = _ComplementJets(cols, x.sigma)
         jets.ensure(3)
-        assert jets.jets == reference_jets(cols, x.sigma, 3)
+        # integer jets: each one a nonzero multiple of its reference jet
+        ref = reference_jets(cols, x.sigma, 3)
+        assert len(jets.jets) == len(ref)
+        assert all(scalar_multiple(jet, r) for jet, r in zip(jets.jets, ref))
+        assert all(type(e) is int for jet in jets.jets for c in jet for e in c)
+
+
+@pytest.mark.parametrize("text", ["D(1,2)", "R(5/2)", "D(3/2,3)+D(1/2,1)"])
+def test_skew_complement_is_primitive_integer(text):
+    import math
+    import random
+    rng = random.Random(5)
+    sigma = build_model_space(parse_symbol(text)).sigma
+    n = len(sigma)
+    assert _skew_complement((), sigma) == tuple(tuple(int(i == j) for j in range(n))
+                                                for i in range(n))
+    for size in range(1, n + 1):
+        basis = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+                 for _ in range(size)]
+        got = _skew_complement(basis, sigma)
+        want = kernel_basis([_sigma_row(sigma, b) for b in basis])
+        assert len(got) == len(want)
+        assert spans_equal(got, want)
+        for v, w in zip(got, want):
+            assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+            # the canonical kernel vector, scaled
+            i = next(i for i, x in enumerate(w) if x)
+            assert all(x * w[i] == v[i] * y for x, y in zip(v, w))
 
 
 def test_complement_jets_rank_drop_raises():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spflag.cli import MAX_KMAX, main
+from spflag.cli import MAX_KMAX, build_parser, main
 from spflag.abnormal import flat_curve
 from spflag.exact import MultiPoly
 from spflag.flagprolong import flag_prolong
@@ -73,6 +73,17 @@ def test_parse_json_payload(capsys):
     assert data["symbol"] == "D(2,3)+R(5/2)"
     assert data["dim_x"] == 14
     assert data["index_parity"] == "mixed"
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # one parser serves every main() call of a process
+    assert build_parser() is build_parser()
+    assert run(capsys, "verify", "--spec", "D(2,3)", "--kmax", "1", "--json",
+               "--seed", "7")[0] == 0
+    code, out, _ = run(capsys, "symbol", "classify", "--spec", "D(2,3)")
+    assert (code, out.strip()) == (0, "Finite")
+    code, _, err = run(capsys, "verify", "--kmax", "1")
+    assert code == 1 and "--spec" in err
 
 
 def test_parse_rejects_bad_term(capsys):

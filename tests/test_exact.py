@@ -1,6 +1,7 @@
 """Exact linear algebra: elimination, Pfaffians, polynomial ring."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from spflag.errors import DegenerateBranch, NonSkew
 from spflag.exact import (
+    Echelon,
     MultiPoly,
     det,
     det_generic,
@@ -22,6 +24,7 @@ from spflag.exact import (
     mat_vec,
     monomials_of_degree,
     pfaffian,
+    primitive_row,
     rank,
     rref,
     skew_kernel,
@@ -75,6 +78,30 @@ def test_kernel_vectors_annihilate_random():
         assert rank(a) + len(kb) == n
         for v in kb:
             assert is_zero_vector(mat_vec(a, v))
+
+
+def test_primitive_row_integer_and_rational_rows():
+    # all-int rows skip the common denominator but still lose their content
+    assert primitive_row({0: 4, 3: -6, 5: 0}) == {0: 2, 3: -3}
+    assert primitive_row([0, 3, 5]) == {1: 3, 2: 5}
+    got = primitive_row([Fraction(2), Fraction(-4, 3), 0])
+    assert got == {0: 3, 1: -2} and all(type(x) is int for x in got.values())
+    got = primitive_row({1: Fraction(6), 2: 9})
+    assert got == {1: 2, 2: 3} and all(type(x) is int for x in got.values())
+    assert primitive_row([0, 0]) == {}
+
+
+def test_integer_rows_are_scaled_rref_rows():
+    rng = random.Random(3)
+    for _ in range(20):
+        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+        rows = Echelon(len(a[0]), a).integer_rows()
+        reduced = rref(a)[0]
+        assert len(rows) == len(reduced)
+        for row, ref in zip(rows, reduced):
+            lead = next(j for j, x in enumerate(ref) if x)
+            assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+            assert all(x == row[lead] * y for x, y in zip(row, ref))
 
 
 def test_rref_canonical():

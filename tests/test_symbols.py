@@ -111,6 +111,33 @@ def test_json_round_trip():
         assert symbol_from_json(data) == s
 
 
+def test_json_reads_ascii_integer_strings():
+    comps = [{"type": "D", "s": "3/2", "l": " 3 "}, {"type": "R", "m2": "5"}]
+    assert symbol_from_json({"components": comps}) == sym("D(3/2,3)+R(5/2)")
+
+
+@pytest.mark.parametrize("comp", [
+    {"type": "D", "s": 1, "l": "٣"},       # Arabic-Indic digit
+    {"type": "D", "s": 1, "l": "３"},       # fullwidth digit
+    {"type": "D", "s": 1, "l": 2.7},
+    {"type": "D", "s": 1, "l": 2.0},
+    {"type": "D", "s": 1, "l": True},
+    {"type": "D", "s": 1, "l": "3/2"},
+    {"type": "D", "s": 1, "l": None},
+    {"type": "D", "s": True, "l": 2},
+    {"type": "D", "s": 1.5, "l": 2},
+    {"type": "D", "s": "١", "l": 2},
+    {"type": "R", "m2": "３"},
+    {"type": "R", "m2": "٣"},
+    {"type": "R", "m2": 3.0},
+    {"type": "R", "m2": True},
+    {"type": "R", "m2": [3]},
+])
+def test_json_rejects_non_integer_fields(comp):
+    with pytest.raises(SymbolSyntaxError):
+        symbol_from_json({"components": [comp]})
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from spflag.errors import CapReached, JacobiViolation
-from spflag.exact import identity_matrix, mat, rank
+from spflag.exact import identity_matrix, kernel_basis, mat, rank
 from spflag.flagprolong import flag_prolong
 from spflag.liealg import (
     algebra_from_entries,
@@ -16,8 +16,9 @@ from spflag.liealg import (
     killing_matrix,
     symmetric_signature,
 )
-from spflag.symbols import build_model_space, parse_symbol
-from spflag.tanaka import assemble_algebra, conformal_factor, prolong
+from spflag.symbols import build_model_space, dim_x, is_finite_type, parse_symbol
+from spflag.tanaka import LayerElement, _Engine, assemble_algebra, conformal_factor, prolong
+from universes import formula_universe
 
 E = mat([[0, 1], [0, 0]])
 H = mat([[1, 0], [0, -1]])
@@ -201,3 +202,62 @@ def test_so43_table_independent_checks():
             assert table[g][a][:dim_x] == tuple(m[r][a] for r in range(dim_x))
     assert dense_jacobi_defects(table) == []
     assert rank(dense_killing(table)) == 21
+
+
+# --- block-split Leibniz systems against one zero-filled system --------------
+
+def _single_system_layer(eng, k):
+    """The degree-k layer as the kernel of one system over all unknowns, each
+    Leibniz identity written into a row of zeros of full length."""
+    n, sigma = eng.n, eng.sigma
+    d1, d2 = eng.dim(k - 1), eng.dim(k - 2)
+    m2_off = d1 * n
+    nvars = m2_off + d2
+    if nvars == 0:
+        return ()
+    rows = []
+
+    def put(*parts):
+        row = [0] * nvars
+        for off, entries, sign in parts:
+            for s, c in entries.items():
+                row[off + s] = sign * c
+        rows.append(row)
+        return row
+
+    av, az = eng.actions(k - 1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for r in range(d2):
+                put((a * d1, av[b][r], 1), (b * d1, av[a][r], -1))[m2_off + r] = -sigma[a][b]
+    av2, _ = eng.actions(k - 2)
+    for a in range(n):
+        for r, zrow in enumerate(az):
+            put((a * d1, zrow, 1), (m2_off, av2[a][r], -1))
+    return tuple(
+        LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
+                     v[m2_off:])
+        for v in kernel_basis(rows or [[0] * nvars]))
+
+
+def _assert_layers_match_single_system(text, kmax):
+    x = build_model_space(parse_symbol(text))
+    eng = _Engine(heisenberg_from_space(x), flag_prolong(x).matrices())
+    for k in range(1, kmax + 1):
+        layer = eng.next_layer(k)
+        assert repr(layer) == repr(_single_system_layer(eng, k)), (text, k)
+        eng.layers.append(layer)
+        if not layer:
+            break
+
+
+# every 16th acceptance-06 symbol with dim_x <= 10 (29 of 455) keeps this to
+# about 5 s; the tower symbols and D(1,2) run to kmax 6, D(1,1) and D(2,2),
+# of infinite type, to kmax 3
+STRIDED_SYMBOLS = sorted(n for n, s in formula_universe().items() if dim_x(s) <= 10)[::16]
+
+
+@pytest.mark.parametrize("text", ["R(3/2)", "D(2,3)", "D(2,4)", "D(3,4)", "D(1,2)", "R(5/2)",
+                                  "D(3/2,3)", "D(1,1)", "D(2,2)"] + STRIDED_SYMBOLS)
+def test_block_layers_match_single_system(text):
+    _assert_layers_match_single_system(text, 6 if is_finite_type(parse_symbol(text)) else 3)

@@ -2,9 +2,11 @@
 Hankel-minor ideal slices, and the harness comparing them with the graded
 prolongation layers.
 
-Polynomial spaces are exact: secant ideals are found by seeded rational
-sampling but every reported polynomial is certified by symbolic substitution
-of the variety's parametrization, so randomness never leaks into results.
+Polynomial spaces are exact.  Secant ideals are sampled at seeded integer
+points and eliminated modulo a prime, but every reported polynomial is lifted
+to the rationals and certified by symbolic substitution of the variety's
+parametrization, so the seed picks only the sample points and never leaks
+into results.
 """
 from __future__ import annotations
 
@@ -20,7 +22,9 @@ from .exact import (
     MultiPoly,
     det_generic,
     kernel_basis,
+    kernel_mod,
     monomials_of_degree,
+    rational_reconstruction,
 )
 from .flagprolong import (
     MatrixSubspace,
@@ -251,23 +255,13 @@ def developable_sampler(base: VarietySampler, j):
 def _secant_parametrization(v: VarietySampler, k):
     """Symbolic point of the k-th secant: one parameter copy per point plus
     mixing coefficients c1..ck (the first point enters with coefficient 1)."""
-    all_params = []
+    copies = [f"{name}__{copy}" for copy in range(k + 1) for name in v.params]
+    all_params = tuple(copies + [f"c__{i}" for i in range(1, k + 1)])
+    point = [MultiPoly.constant(all_params, 0)] * len(v.coords)
     for copy in range(k + 1):
-        all_params.extend(f"{name}__{copy}" for name in v.params)
-    mix = [f"c__{i}" for i in range(1, k + 1)]
-    all_params = tuple(all_params) + tuple(mix)
-    point = [MultiPoly.constant(all_params, 0) for _ in v.coords]
-    for copy in range(k + 1):
-        ren = {
-            name: MultiPoly.variable(all_params, f"{name}__{copy}") for name in v.params
-        }
-        scale = (
-            MultiPoly.constant(all_params, 1)
-            if copy == 0
-            else MultiPoly.variable(all_params, f"c__{copy}")
-        )
-        for idx, c in enumerate(v.coords):
-            point[idx] = point[idx] + c.subs(ren) * scale
+        ren = {name: MultiPoly.variable(all_params, f"{name}__{copy}") for name in v.params}
+        scale = MultiPoly.variable(all_params, f"c__{copy}") if copy else 1
+        point = [x + c.subs(ren) * scale for x, c in zip(point, v.coords)]
     return all_params, tuple(point)
 
 
@@ -281,24 +275,61 @@ def secant_certificate(v: VarietySampler, k):
     return lambda polys: all(not p.subs(subs_map).terms for p in polys)
 
 
-def _random_rational(rng):
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+# one prime per round of secant_ideal; each round samples twice the points
+SECANT_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1)
 
 
-# sampling rounds before secant_ideal gives up, doubling the points each time
-SECANT_ROUNDS = 4
+def _residues(poly, p):
+    """poly's terms mod p; ValueError when p divides a denominator."""
+    return [(e, c.numerator * pow(c.denominator, -1, p)) for e, c in poly.terms.items()]
+
+
+def _evaluate(terms, values):
+    return sum(c * math.prod(x ** e for x, e in zip(values, exp) if e) for exp, c in terms)
+
+
+def _draw(rng, v, k):
+    """One integer point of the k-th secant: (scale, parameters) per copy."""
+    return [(rng.randint(-2 ** 31, 2 ** 31) if copy else 1,
+             [rng.randint(-2 ** 31, 2 ** 31) for _ in v.params]) for copy in range(k + 1)]
+
+
+def _cone_fills(v: VarietySampler, k, rng, p):
+    """Terracini's lemma: True when the Jacobian of (lambda, each copy's
+    parameters, c_1..c_k) -> lambda (gamma(p_0) + sum c_i gamma(p_i)) has
+    rank N mod p at one integer point with lambda = 1.  That rank bounds the
+    cone's dimension from below, so the cone then fills the space."""
+    try:
+        coords = [_residues(c, p) for c in v.coords]
+        partials = [[_residues(c.derivative(t), p) for c in v.coords] for t in v.params]
+    except ValueError:
+        return False
+    # the Jacobian's columns as rows: rank N iff they have no kernel
+    columns, point = [], [0] * len(coords)
+    for copy, (scale, params) in enumerate(_draw(rng, v, k)):
+        gamma = [_evaluate(t, params) for t in coords]
+        point = [x + scale * y for x, y in zip(point, gamma)]
+        columns += [gamma] if copy else []
+        columns += [[scale * _evaluate(t, params) for t in d] for d in partials]
+    return not kernel_mod(columns + [point], len(coords), p)
 
 
 def secant_ideal(v: VarietySampler, degree, k, seed=42):
     """Degree slice of the ideal of the k-th secant variety.
 
-    Sampling bounds the space from above; symbolic certification of every
-    kernel element makes the result exact.  More samples are added until all
-    kernel elements certify.  When every coordinate is homogeneous under the
-    parameter weights, the variety is invariant under the matching torus, so
-    its ideal is spanned by weight-homogeneous polynomials: each weight block
-    of monomials is solved on its own, on one shared set of sample points.
+    Samples are integer points mod a prime and only the certificate is
+    symbolic, so the result is exact and the seed picks only the points.
+    A cone that fills the space has no ideal.  Otherwise each weight block
+    of monomials (the ideal of a torus-invariant variety is spanned by
+    weight-homogeneous polynomials) with no kernel mod p is {0}, and any
+    other kernel must lift by rational reconstruction to polynomials that
+    vanish at the symbolic secant point: independent, in the ideal and at
+    least dim ker over Q many, so they span the slice.  A block that fails
+    goes to the next round, with the next prime and twice the points.
     """
+    rng = random.Random(seed)
+    if _cone_fills(v, k, rng, SECANT_PRIMES[0]):
+        return poly_space(degree, v.ambient, ())
     coord_weights = [None]
     if v.param_weights is not None:
         coord_weights = [_weight(c.terms, v.param_weights) for c in v.coords]
@@ -307,41 +338,39 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42):
     for m in monomials_of_degree(len(v.coords), degree):
         blocks.setdefault(_weight((m,), coord_weights) if split else None, []).append(m)
     blocks = list(blocks.values())
-    rng = random.Random(seed)
-    _, point = _secant_parametrization(v, k)
-    certified = secant_certificate(v, k)
-    points = []
+    draws = []
     need = max(map(len, blocks), default=0) + 8
+    certify = None
     polys = []
-    for _ in range(SECANT_ROUNDS):
-        while len(points) < need:
-            vals = {}
-            for copy in range(k + 1):
-                for name in v.params:
-                    vals[f"{name}__{copy}"] = _random_rational(rng)
-            for i in range(1, k + 1):
-                vals[f"c__{i}"] = _random_rational(rng)
-            points.append([c.subs(vals) for c in point])
+    for p in SECANT_PRIMES:
+        draws += [_draw(rng, v, k) for _ in range(need - len(draws))]
+        need *= 2
+        try:
+            coords = [_residues(c, p) for c in v.coords]
+        except ValueError:   # p divides a denominator: the round fails
+            continue
+        points = [[sum(s * _evaluate(t, params) for s, params in draw) % p for t in coords]
+                  for draw in draws]
         uncertified = []
         for block in blocks:
-            kern = kernel_basis(tuple(
-                tuple(math.prod(x ** e for x, e in zip(pt, m) if e) for m in block)
-                for pt in points))
-            found = [
-                MultiPoly(v.ambient, {m: c for m, c in zip(block, vec) if c != 0})
-                for vec in kern
-            ]
-            if certified(found):
-                polys.extend(found)
-            else:
+            kern = kernel_mod(([math.prod(x ** e for x, e in zip(pt, m) if e) for m in block]
+                               for pt in points), len(block), p)
+            lifted = [[rational_reconstruction(x, p) for x in vec] for vec in kern]
+            if any(None in vec for vec in lifted):
                 uncertified.append(block)
+                continue
+            found = [MultiPoly(v.ambient, dict(zip(block, vec))) for vec in lifted]
+            if found:
+                certify = certify or secant_certificate(v, k)
+                if not certify(found):
+                    uncertified.append(block)
+                    continue
+            polys += found
         if not uncertified:
             return poly_space(degree, v.ambient, polys)
         blocks = uncertified
-        need *= 2
     raise CertificationFailure(
-        f"secant ideal sampling did not stabilize after {SECANT_ROUNDS} rounds"
-    )
+        f"secant ideal sampling did not stabilize after {len(SECANT_PRIMES)} rounds")
 
 
 def hankel_minor_space(s, k, alpha=None):
@@ -379,6 +408,11 @@ def tanaka_layer_polynomials(tp: TanakaProlongation, k, variables=None):
         variables = default_variables(n)
     xs = [MultiPoly.variable(variables, name) for name in variables]
     zero = MultiPoly.constant(variables, 0)
+
+    def linear(row):
+        """The linear form sum_a row[a] x_a."""
+        return MultiPoly(variables, {next(iter(xs[a].terms)): c for a, c in enumerate(row) if c})
+
     layer = tp.layers[k - 1] if k - 1 < len(tp.layers) else ()
     polys = []
     for pick in range(len(layer)):
@@ -391,12 +425,7 @@ def tanaka_layer_polynomials(tp: TanakaProlongation, k, variables=None):
                 if not cur[idx].terms:
                     continue
                 for r in range(prev_dim):
-                    lin = zero
-                    for a in range(n):
-                        if elem.m1[r][a] != 0:
-                            lin = lin + xs[a] * elem.m1[r][a]
-                    if lin.terms:
-                        nxt[r] = nxt[r] + cur[idx] * lin
+                    nxt[r] = nxt[r] + cur[idx] * linear(elem.m1[r])
             cur = nxt
         w_vec = [zero] * n
         for s_idx, coord in enumerate(cur):
@@ -404,12 +433,7 @@ def tanaka_layer_polynomials(tp: TanakaProlongation, k, variables=None):
                 continue
             g = tp.g0[s_idx]
             for row_i in range(n):
-                lin = zero
-                for m in range(n):
-                    if g[row_i][m] != 0:
-                        lin = lin + xs[m] * g[row_i][m]
-                if lin.terms:
-                    w_vec[row_i] = w_vec[row_i] + coord * lin
+                w_vec[row_i] = w_vec[row_i] + coord * linear(g[row_i])
         f_poly = zero
         for i in range(n):
             for j2 in range(n):
@@ -510,8 +534,9 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
     finite = is_finite_type(sym)
     tp = None
     cap_report = None
+    # the report reads no degree above k_max, and infinite type never ends
     try:
-        tp = prolong(heis, fp.matrices(), kmax=max(k_max + 1, 6))
+        tp = prolong(heis, fp.matrices(), kmax=max(k_max + 1, 6) if finite else k_max)
     except CapReached as exc:
         cap_report = exc.report
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 from fractions import Fraction
@@ -272,6 +273,47 @@ def test_verify_reports_null_row_secants_for_infinite_type(capsys, spec):
     data = json.loads(out)
     assert [e["p_vanishes_on_row_secants"] for e in data["layers"]] == [None] * 6
     assert data["passes"]["row_secant_inclusion"] is None
+
+
+@pytest.mark.parametrize("spec", ["D(0,0)", "D(1,1)", "D(2,2)"])
+def test_verify_prolongs_infinite_type_only_to_kmax(capsys, monkeypatch, spec):
+    from spflag import polyprolong, tanaka
+    from spflag.errors import CapReached
+
+    x = build_model_space(parse_symbol(spec))
+    with pytest.raises(CapReached) as exc:
+        tanaka.prolong(polyprolong.heisenberg_from_space(x), flag_prolong(x).matrices(),
+                       kmax=6)
+    degrees = exc.value.report.degrees
+    assert len(degrees) == 6 and all(d for _, d in degrees)
+    for kmax in ("1", "2", "3"):
+        got = run(capsys, "verify", "--spec", spec, "--kmax", kmax, "--json")
+        with monkeypatch.context() as m:
+            m.setattr(polyprolong, "prolong",
+                      lambda heis, g0, kmax: tanaka.prolong(heis, g0, kmax=6))
+            want = run(capsys, "verify", "--spec", spec, "--kmax", kmax, "--json")
+        assert got == want
+
+
+@pytest.mark.parametrize("spec", ["D(3,5)", "D(4,5)", "D(4,6)", "D(5,6)"])
+def test_verify_default_kmax_finishes_where_sampling_stalled(capsys, monkeypatch, spec):
+    """These four took over a minute each at the default kmax while secant
+    ideals were sampled and eliminated over Q."""
+    from spflag import polyprolong
+    from test_polyprolong import reference_secant_ideal
+
+    code, out, err = run(capsys, "verify", "--spec", spec, "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert len(data["layers"]) == 6
+    assert data["passes"] == {"standard_equality": True, "tangential_secant": True,
+                              "row_secant_inclusion": True}
+    # the one-block reference takes over a minute here at k = 2
+    monkeypatch.setattr(polyprolong, "secant_ideal",
+                        functools.partial(reference_secant_ideal, split=True))
+    code, out, _ = run(capsys, "verify", "--spec", spec, "--kmax", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["layers"] == data["layers"][:2]
 
 
 def test_verify_row_secants_pass_for_finite_type(capsys):

@@ -5,12 +5,13 @@ from functools import lru_cache
 
 import pytest
 
-from spflag.errors import RangeError
+from spflag.errors import CertificationFailure, RangeError
 from spflag import polyprolong
-from spflag.exact import MultiPoly, kernel_basis, monomials_of_degree
+from spflag.exact import MultiPoly, kernel_basis, kernel_mod, monomials_of_degree, rank
 from spflag.flagprolong import decompose_azp, graded_symplectic_basis
 from spflag.liealg import heisenberg_from_space
 from spflag.polyprolong import (
+    SECANT_PRIMES,
     VarietySampler,
     _row_boxes,
     _secant_parametrization,
@@ -459,36 +460,52 @@ def test_standard_prolong_inhomogeneous_space_matches_dense_reference():
         assert repr(got.basis) == repr(want.basis)
 
 
-def reference_secant_ideal(v, degree, k, seed=42, max_rounds=4):
-    """One kernel over all degree-`degree` monomials, sampled and certified."""
+def reference_secant_ideal(v, degree, k, seed=42, max_rounds=4, split=False):
+    """Secant ideal slice sampled at random rationals and eliminated over Q,
+    then certified: one kernel over all degree-`degree` monomials, or with
+    split one kernel per weight block of monomials on shared points, when
+    every coordinate is weight-homogeneous."""
     nvars = len(v.coords)
     monos = monomials_of_degree(nvars, degree)
+    weights = None
+    if split and v.param_weights is not None:
+        ws = [{sum(e * x for e, x in zip(exp, v.param_weights)) for exp in c.terms}
+              for c in v.coords]
+        if all(len(x) == 1 for x in ws):
+            weights = [x.pop() for x in ws]
+    blocks = {}
+    for m in monos:
+        w = None if weights is None else sum(e * x for e, x in zip(m, weights))
+        blocks.setdefault(w, []).append(m)
     rng = random.Random(seed)
     all_params, point = _secant_parametrization(v, k)
-    rows = []
-    need = len(monos) + 8
+    pts = []
+    need = max(map(len, blocks.values())) + 8
     for round_no in range(max_rounds):
-        while len(rows) < need:
+        while len(pts) < need:
             vals = {}
             for copy in range(k + 1):
                 for name in v.params:
                     vals[f"{name}__{copy}"] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
             for i in range(1, k + 1):
                 vals[f"c__{i}"] = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-            pt = [c.subs(vals) for c in point]
-            row = []
-            for m in monos:
-                val = Fraction(1)
-                for coord, e in zip(pt, m):
-                    if e:
-                        val *= coord ** e
-                row.append(val)
-            rows.append(tuple(row))
-        kern = kernel_basis(tuple(rows))
-        polys = [
-            MultiPoly(v.ambient, {m: c for m, c in zip(monos, vec) if c != 0})
-            for vec in kern
-        ]
+            pts.append([c.subs(vals) for c in point])
+        polys = []
+        for block in blocks.values():
+            rows = []
+            for pt in pts:
+                row = []
+                for m in block:
+                    val = Fraction(1)
+                    for coord, e in zip(pt, m):
+                        if e:
+                            val *= coord ** e
+                    row.append(val)
+                rows.append(tuple(row))
+            polys += [
+                MultiPoly(v.ambient, {m: c for m, c in zip(block, vec) if c != 0})
+                for vec in kernel_basis(tuple(rows))
+            ]
         subs_map = {name: p for name, p in zip(v.ambient, point)}
         if all(not p.subs(subs_map).terms for p in polys if p.terms):
             return poly_space(degree, v.ambient, polys)
@@ -496,15 +513,26 @@ def reference_secant_ideal(v, degree, k, seed=42, max_rounds=4):
     raise AssertionError("reference sampling did not stabilize")
 
 
-def count_kernels(monkeypatch):
-    calls = []
+def trace_secant(monkeypatch):
+    """Record the path secant_ideal takes: the Terracini test's verdict and
+    its (columns, kernel dimension, prime), then the same for each sample
+    matrix handed to kernel_mod."""
+    seen = {"fills": None, "jacobian": [], "blocks": []}
+    cone_fills = polyprolong._cone_fills
 
-    def counted(a):
-        calls.append(len(a))
-        return kernel_basis(a)
+    def counted(rows, ncols, p):
+        kern = kernel_mod(rows, ncols, p)
+        seen["blocks"].append((ncols, len(kern), p))
+        return kern
 
-    monkeypatch.setattr(polyprolong, "kernel_basis", counted)
-    return calls
+    def fills(*args):
+        seen["fills"] = cone_fills(*args)
+        seen["jacobian"], seen["blocks"] = seen["blocks"], []
+        return seen["fills"]
+
+    monkeypatch.setattr(polyprolong, "kernel_mod", counted)
+    monkeypatch.setattr(polyprolong, "_cone_fills", fills)
+    return seen
 
 
 def exp_curve(coeffs):
@@ -519,31 +547,135 @@ def exp_curve(coeffs):
     return VarietySampler(("t",), tuple(coords), ("y0", "y1", "y2", "y3"), (1,))
 
 
+def sampler(text, j):
+    base = shift_orbit_sampler(space(text), 0)
+    return base if j == 0 else developable_sampler(base, j)
+
+
 @pytest.mark.parametrize("text,j,kmax", [
     ("D(2,3)", 0, 2), ("D(3,4)", 0, 2), ("D(3,5)", 1, 1),
 ])
 def test_secant_ideal_matches_one_block_reference(monkeypatch, text, j, kmax):
-    base = shift_orbit_sampler(space(text), 0)
-    var = base if j == 0 else developable_sampler(base, j)
+    var = sampler(text, j)
     for k in range(kmax + 1):
         want = reference_secant_ideal(var, k + 2, k)
-        calls = count_kernels(monkeypatch)
+        seen = trace_secant(monkeypatch)
         got = secant_ideal(var, k + 2, k)
         assert repr(got.basis) == repr(want.basis)
-        assert len(calls) > 1   # one kernel per weight block
+        assert repr(reference_secant_ideal(var, k + 2, k, split=True).basis) == repr(want.basis)
+        if seen["fills"]:
+            assert got.dim == 0 and not seen["blocks"]
+        else:
+            # one sample matrix per weight block, each solved once
+            cols = [ncols for ncols, _, _ in seen["blocks"]]
+            assert len(cols) > 1
+            assert sum(cols) == len(monomials_of_degree(len(var.coords), k + 2))
         monkeypatch.undo()
 
 
 def test_secant_ideal_inhomogeneous_curve_keeps_one_block(monkeypatch):
-    # y_i = (1+t)^i/i! is not homogeneous in t, so there is a single block
+    # y_i = (1+t)^i/i! is not homogeneous in t, so there is a single block;
+    # from k = 1 on the chords of this twisted cubic fill the space
     curve = exp_curve([1, 1])
     for k in range(3):
         want = reference_secant_ideal(curve, k + 2, k)
-        calls = count_kernels(monkeypatch)
+        seen = trace_secant(monkeypatch)
         got = secant_ideal(curve, k + 2, k)
         assert repr(got.basis) == repr(want.basis)
-        assert len(calls) == 1
+        if k == 0:
+            assert seen["fills"] is False
+            assert seen["blocks"] == [(10, 3, SECANT_PRIMES[0])]
+        else:
+            assert seen["fills"] and got.dim == 0
         monkeypatch.undo()
     # the same curve through t -> t - 1 is the weight-homogeneous t^i/i!
     assert repr(secant_ideal(exp_curve([0, 1]), 2, 0).basis) == repr(
         secant_ideal(curve, 2, 0).basis)
+
+
+def jacobian_rank_over_q(var, k, seed=42):
+    """The rank over Q, at one random rational point, of the Jacobian of
+    (lambda, parameters) -> lambda * (the symbolic secant point) at lambda = 1:
+    its columns are the point and the point's partials."""
+    params, point = _secant_parametrization(var, k)
+    rng = random.Random(seed)
+    vals = {name: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for name in params}
+    columns = [[c.subs(vals) for c in point]]
+    columns += [[c.derivative(name).subs(vals) for c in point] for name in params]
+    return rank(columns)
+
+
+@pytest.mark.parametrize("text,j,k", [("D(2,3)", 0, 1), ("D(2,3)", 0, 2), ("D(4,7)", 2, 1)])
+def test_secant_ideal_cone_fills(monkeypatch, text, j, k):
+    var = sampler(text, j)
+    n = len(var.coords)
+    if text == "D(4,7)":
+        # the one-block reference takes about 30 s here, so the oracle is
+        # Terracini's lemma over Q: a Jacobian of rank N means the cone fills
+        assert jacobian_rank_over_q(var, k) == n
+    else:
+        assert repr(reference_secant_ideal(var, k + 2, k).basis) == "()"
+    seen = trace_secant(monkeypatch)
+    assert repr(secant_ideal(var, k + 2, k).basis) == "()"
+    # one Jacobian of full rank N, and no sample matrix at all
+    assert seen["fills"] is True
+    assert seen["jacobian"] == [(n, 0, SECANT_PRIMES[0])]
+    assert seen["blocks"] == []
+
+
+def test_secant_ideal_cone_does_not_fill(monkeypatch):
+    var = sampler("D(4,5)", 0)
+    want = reference_secant_ideal(var, 3, 1)
+    seen = trace_secant(monkeypatch)
+    got = secant_ideal(var, 3, 1)
+    assert repr(got.basis) == repr(want.basis)
+    assert got.dim == 4
+    # the Jacobian has rank 4 of 6 mod p, as over Q, so the blocks are sampled
+    assert jacobian_rank_over_q(var, 1) == 4
+    assert seen["fills"] is False
+    assert seen["jacobian"] == [(6, 2, SECANT_PRIMES[0])]
+    assert sum(kdim for _, kdim, _ in seen["blocks"]) == 4
+
+
+def test_secant_ideal_lifts_a_nonzero_slice(monkeypatch):
+    var = sampler("D(3,4)", 0)
+    want = reference_secant_ideal(var, 3, 1)
+    seen = trace_secant(monkeypatch)
+    got = secant_ideal(var, 3, 1)
+    assert repr(got.basis) == repr(want.basis)
+    assert got.dim == 1
+    assert seen["fills"] is False
+    # the one kernel vector mod p lifts to the certified cubic
+    assert [kdim for _, kdim, _ in seen["blocks"] if kdim] == [1]
+
+
+def test_secant_ideal_retries_with_the_next_prime(monkeypatch):
+    """With 5 first, a kernel mod 5 is larger than over Q or does not
+    lift, and its block goes to the next round."""
+    cases = [(sampler("D(2,3)", 0), 0), (sampler("D(3,4)", 0), 1),
+             (sampler("D(3,4)", 0), 0), (exp_curve([1, 1]), 0)]
+    wants = [repr(reference_secant_ideal(var, k + 2, k).basis) for var, k in cases]
+    monkeypatch.setattr(polyprolong, "SECANT_PRIMES", (5,) + SECANT_PRIMES)
+    retried = False
+    for (var, k), want in zip(cases, wants):
+        seen = trace_secant(monkeypatch)
+        assert repr(secant_ideal(var, k + 2, k).basis) == want
+        retried |= any(p == SECANT_PRIMES[0] for _, _, p in seen["blocks"])
+    assert retried
+
+
+def test_secant_ideal_round_fails_when_p_divides_a_denominator(monkeypatch):
+    # the row curve of D(3,5) has coordinates t^i/i! up to i = 5
+    var = sampler("D(3,5)", 0)
+    assert any(c.denominator % 5 == 0 for y in var.coords for c in y.terms.values())
+    want = repr(secant_ideal(var, 2, 0).basis)
+    monkeypatch.setattr(polyprolong, "SECANT_PRIMES", (5,) + SECANT_PRIMES)
+    seen = trace_secant(monkeypatch)
+    assert repr(secant_ideal(var, 2, 0).basis) == want
+    assert {p for _, _, p in seen["blocks"]} == {SECANT_PRIMES[0]}
+
+
+def test_secant_ideal_raises_after_the_last_prime(monkeypatch):
+    monkeypatch.setattr(polyprolong, "SECANT_PRIMES", (5, 7))
+    with pytest.raises(CertificationFailure):
+        secant_ideal(sampler("D(3,4)", 0), 2, 0)

@@ -19,7 +19,6 @@ from .abnormal import (
     column,
     degeneracy_locus,
     derived_filtration,
-    dual_variables,
     extract_flag_symbol,
     flat_curve,
     goh_matrix,
@@ -330,10 +329,10 @@ def _cmd_prolong_standard(args):
         xvars = default_variables(x.dim)
         rows = []
         lines.append(f"symbol  {render_symbol(sym)}")
+        p_chain = standard_prolong(dec.p, kmax, x.sigma, variables=xvars)
+        l_chain = standard_prolong(dec.l_of_x, kmax, x.sigma, variables=xvars)
         for k in range(1, kmax + 1):
-            p_k = standard_prolong(dec.p, k, x.sigma, variables=xvars, weights=x.weights)
-            l_k = standard_prolong(dec.l_of_x, k, x.sigma, variables=xvars,
-                                   weights=x.weights)
+            p_k, l_k = p_chain[k], l_chain[k]
             rows.append({"k": k, "dim_p": p_k.dim, "dim_l": l_k.dim,
                          "p_equals_l": p_k.equals(l_k)})
             lines.append(f"k={k} dim_p={p_k.dim} dim_l={l_k.dim} "

@@ -215,11 +215,16 @@ def rank(a):
     return Echelon(len(a[0]), a).rank
 
 
-def kernel_basis(a):
-    """Deterministic basis of the right kernel {v : a v = 0}."""
-    if not a:
-        return ()
-    return Echelon(len(a[0]), a).kernel()
+def kernel_basis(a, ncols=None):
+    """Deterministic basis of the right kernel {v : a v = 0}, as dense tuples.
+
+    Rows are sequences, or {col: value} dicts when ncols gives the number of
+    unknowns; with ncols and no rows every unknown is free."""
+    if ncols is None:
+        if not a:
+            return ()
+        ncols = len(a[0])
+    return Echelon(ncols, a).kernel()
 
 
 def rref(a):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificationFailure, RangeError
+from .errors import CapReached, CertificationFailure, RangeError
 from .exact import (
     Echelon,
     MultiPoly,
@@ -42,7 +42,6 @@ from .symbols import (
     rows_of,
 )
 from .tanaka import TanakaProlongation, prolong
-from .errors import CapReached
 
 
 def default_variables(n):
@@ -131,75 +130,56 @@ def _weight(terms, weights):
     return ws.pop() if ws else 0
 
 
-def _prolong_once(space, weights):
+def _prolong_once(space):
     """The next level of the chain: the polynomials f whose first partials
     all lie in space.  A tuple h_i = sum_g c_ig g of elements of space with
     d_l h_i = d_i h_l is the gradient of f = sum_i x_i h_i / deg f (Euler),
-    so the unknowns are the c_ig and the equations compare the coefficients
-    of d_l h_i - d_i h_l for i < l."""
-    n = len(space.variables)
+    so the unknowns are the c_ig, c_ig at column i * dim + g, and there is
+    one sparse equation per (i < l, monomial) of d_l h_i - d_i h_l."""
+    n, dim = len(space.variables), space.dim
     basis = [g.terms for g in space.basis]
-    # partials[g][l]: the terms of d_l g
-    partials = []
-    for terms in basis:
-        d = [{} for _ in range(n)]
+    rows = {}
+    for g, terms in enumerate(basis):
         for exp, c in terms.items():
             for l, e in enumerate(exp):
-                if e:
-                    d[l][exp[:l] + (e - 1,) + exp[l + 1:]] = c * e
-        partials.append(d)
-    unknowns = [(i, g) for i in range(n) for g in range(len(basis))]
-    # the weight of x_i g splits the unknowns when every g is homogeneous
-    g_weights = None if weights is None else [_weight(t, weights) for t in basis]
-    if g_weights is None or None in g_weights:
-        blocks = [unknowns]
-    else:
-        by_weight = {}
-        for i, g in unknowns:
-            by_weight.setdefault(weights[i] + g_weights[g], []).append((i, g))
-        blocks = list(by_weight.values())
+                if not e:
+                    continue
+                down = exp[:l] + (e - 1,) + exp[l + 1:]    # a term of d_l g
+                for i in range(n):
+                    if i != l:
+                        pair, sign = ((i, l), 1) if i < l else ((l, i), -1)
+                        rows.setdefault((pair, down), {})[i * dim + g] = sign * c * e
     scale = Fraction(1, space.degree + 1)
     polys = []
-    for block in blocks:
-        # one row per (i < l, monomial) met by some partial of the block
-        rows = {}
-        for col, (i, g) in enumerate(block):
-            for l in range(n):
-                if l == i:
-                    continue
-                pair, sign = ((i, l), 1) if i < l else ((l, i), -1)
-                for exp, c in partials[g][l].items():
-                    rows.setdefault((pair, exp), [0] * len(block))[col] = sign * c
-        # with no equation every unknown is free
-        for v in kernel_basis(list(rows.values()) or [[0] * len(block)]):
-            terms = {}
-            for (i, g), c in zip(block, v):
-                if c:
-                    for exp, x in basis[g].items():
-                        up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                        terms[up] = terms.get(up, 0) + scale * c * x
-            polys.append(MultiPoly(space.variables, terms))
+    for v in kernel_basis(list(rows.values()), n * dim):
+        terms = {}
+        for col, c in enumerate(v):
+            if c:
+                i, g = divmod(col, dim)
+                for exp, x in basis[g].items():
+                    up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                    terms[up] = terms.get(up, 0) + scale * c * x
+        polys.append(MultiPoly(space.variables, terms))
     return polys
 
 
-def standard_prolong(w, k, sigma, variables=None, weights=None):
-    """Homogeneous degree-(k+2) polynomials whose order-k partials all lie in
-    the quadratic-form space of w; k = 0 gives that quadratic space itself.
+def standard_prolong(w, kmax, sigma, variables=None):
+    """The chain g^(0), ..., g^(kmax) of standard prolongations of w, as a
+    list: g^(k) holds the homogeneous degree-(k+2) polynomials whose order-k
+    partials all lie in the quadratic-form space g^(0) of w.
 
-    Walks the chain g^(j) = {f : d_i f in g^(j-1) for every i} (Sternberg
-    1964) from the quadratic space.  When per-variable weights are supplied
-    and a level is weight-homogeneous, the next one splits into independent
-    weight blocks.
+    Each level is g^(k) = {f : d_i f in g^(k-1) for every i} (Sternberg
+    1964), one Spencer step from the level before.
     """
     mats = w.basis if isinstance(w, MatrixSubspace) else tuple(w)
     if variables is None:
         variables = default_variables(len(sigma))
     space = poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats])
-    for degree in range(3, k + 3):
-        if not space.dim:
-            return PolySpace(k + 2, space.variables, ())
-        space = poly_space(degree, space.variables, _prolong_once(space, weights))
-    return space
+    chain = [space]
+    for degree in range(3, kmax + 3):
+        space = poly_space(degree, space.variables, _prolong_once(space))
+        chain.append(space)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +537,11 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
     rows = [(_row_boxes(x, ci), shift_orbit_sampler(x, ci))
             for ci in range(len(sym.components))]
     tangential = tangential_variety(sym, rows[0][1])
+    p_chain = standard_prolong(dec.p, k_max, x.sigma, variables=xvars)
+    l_chain = standard_prolong(dec.l_of_x, k_max, x.sigma, variables=xvars)
     for k in range(1, k_max + 1):
         entry = {"k": k, "dim_layer": degrees.get(k, 0 if tp is not None else None)}
-        p_k = standard_prolong(dec.p, k, x.sigma, variables=xvars, weights=x.weights)
-        l_k = standard_prolong(dec.l_of_x, k, x.sigma, variables=xvars, weights=x.weights)
+        p_k, l_k = p_chain[k], l_chain[k]
         entry["dim_p"] = p_k.dim
         entry["dim_l"] = l_k.dim
         entry["p_equals_l"] = p_k.equals(l_k)

@@ -16,8 +16,6 @@ from .errors import CapReached, JacobiViolation
 from .exact import kernel_basis, rref, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
-_ZERO = Fraction(0)
-
 
 def conformal_factor(a, sigma):
     """The scalar c with sigma(Av, w) + sigma(v, Aw) = c sigma(v, w).
@@ -118,7 +116,8 @@ class _Engine:
         """Degree-k layer: the kernel of the Leibniz identities on the unknown
         (M1, M2), with M1[r][a] at column a * d1 + r and M2[r] at m2_off + r.
         Each identity is a sparse {column: value} row built from the nonzeros
-        of the actions; identities without terms are dropped."""
+        of the actions.  Elimination only combines rows that share a lead, so
+        the system's independent blocks never meet."""
         n = self.n
         d1 = self.dim(k - 1)   # target of M1 columns
         d2 = self.dim(k - 2)   # target of M2
@@ -147,47 +146,9 @@ class _Engine:
                 row.update((m2_off + s, -c) for s, c in av2[a][r].items())
                 rows.append(row)
         return tuple(
-            LayerElement(tuple(tuple(v.get(a * d1 + r, _ZERO) for a in range(n))
-                               for r in range(d1)),
-                         tuple(v.get(m2_off + r, _ZERO) for r in range(d2)))
-            for v in _block_kernel([row for row in rows if row], nvars))
-
-
-def _block_kernel(rows, nvars):
-    """The canonical kernel basis of sparse {column: value} rows, as sparse
-    vectors, solved one block at a time.  The blocks are the connected
-    components of the columns that share a row; each goes to kernel_basis as
-    short dense rows over its own columns, and a column in no row is a block
-    of its own with kernel (1,).  The rref of a block-diagonal system is
-    block-diagonal, so the block kernels, merged by free column, are the
-    kernel basis of the whole system.  A kernel vector's free column is its
-    last nonzero: an rref row has its other nonzeros at free columns right of
-    its lead."""
-    parent = list(range(nvars))
-
-    def root(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    for row in rows:
-        for c in row:
-            parent[root(c)] = root(next(iter(row)))
-    blocks = {}     # root -> (columns, rows)
-    for c in range(nvars):
-        blocks.setdefault(root(c), ([], []))[0].append(c)
-    for row in rows:
-        blocks[root(next(iter(row)))][1].append(row)
-    found = []
-    for cols, block in blocks.values():
-        local = {c: i for i, c in enumerate(cols)}
-        dense = [[0] * len(cols) for _ in block]
-        for line, row in zip(dense, block):
-            for c, x in row.items():
-                line[local[c]] = x
-        for v in kernel_basis(dense) if dense else ((Fraction(1),),):
-            found.append({cols[i]: x for i, x in enumerate(v) if x})
-    return sorted(found, key=max)
+            LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
+                         v[m2_off:])
+            for v in kernel_basis(rows, nvars))
 
 
 def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:

@@ -69,6 +69,8 @@ def test_rank_and_kernel_small():
 def test_rank_identity():
     assert rank(identity_matrix(5)) == 5
     assert kernel_basis(identity_matrix(4)) == ()
+    # sparse rows: none, or none with a term, leave every unknown free
+    assert kernel_basis([], 4) == kernel_basis([{}], 4) == identity_matrix(4)
 
 
 def test_kernel_vectors_annihilate_random():
@@ -80,6 +82,13 @@ def test_kernel_vectors_annihilate_random():
         assert rank(a) + len(kb) == n
         for v in kb:
             assert is_zero_vector(mat_vec(a, v))
+        # the same rows as {col: Fraction} dicts, and with one more column
+        # that no row touches, whose kernel vector is the unit vector there
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+        assert kernel_basis(sparse, n) == kb
+        wide = kernel_basis([{j + 1: x for j, x in row.items()} for row in sparse], n + 1)
+        assert wide == ((Fraction(1),) + (Fraction(0),) * n,) + tuple((Fraction(0),) + v
+                                                                      for v in kb)
 
 
 def test_primitive_row_integer_and_rational_rows():

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from spflag.cli import main
 from spflag.errors import CertificationFailure, RangeError
 from spflag import polyprolong
 from spflag.exact import MultiPoly, kernel_basis, kernel_mod, monomials_of_degree, rank
@@ -76,8 +77,8 @@ def test_symmetric_form_small():
 
 def test_standard_prolong_of_zero_space():
     x = space("D(1,0)")
-    for k in range(3):
-        assert standard_prolong((), k, x.sigma).dim == 0
+    chain = standard_prolong((), 2, x.sigma)
+    assert [(w.degree, w.dim) for w in chain] == [(2, 0), (3, 0), (4, 0)]
 
 
 def test_standard_prolong_full_sp_gives_all_polynomials():
@@ -87,9 +88,7 @@ def test_standard_prolong_full_sp_gives_all_polynomials():
     for k in (-2, -1, 0, 1, 2):
         sp2.extend(graded_symplectic_basis(x, k, conformal=False))
     assert len(sp2) == 3
-    assert standard_prolong(tuple(sp2), 0, x.sigma).dim == 3
-    assert standard_prolong(tuple(sp2), 1, x.sigma).dim == 4
-    assert standard_prolong(tuple(sp2), 2, x.sigma).dim == 5
+    assert [w.dim for w in standard_prolong(tuple(sp2), 2, x.sigma)] == [3, 4, 5]
 
 
 STANDARD_ORACLES = [
@@ -103,26 +102,30 @@ STANDARD_ORACLES = [
 def test_standard_prolong_dimensions(text, dims):
     x = space(text)
     dec = decomposition(text)
-    got = [
-        standard_prolong(dec.p, k, x.sigma, weights=x.weights).dim
-        for k in range(len(dims))
-    ]
+    got = [w.dim for w in standard_prolong(dec.p, len(dims) - 1, x.sigma)]
     assert got == dims
 
 
-def test_standard_prolong_blocked_equals_flat():
-    x = space("D(3,4)")
-    dec = decomposition("D(3,4)")
-    blocked = standard_prolong(dec.p, 1, x.sigma, weights=x.weights)
-    flat = standard_prolong(dec.p, 1, x.sigma)
-    assert blocked.equals(flat)
+def test_each_standard_chain_is_built_once(monkeypatch, capsys):
+    # verify and prolong standard walk one chain each for p and l(X), so
+    # --kmax K costs at most 2K Spencer steps, not one chain per k
+    steps = []
+    spencer_step = polyprolong._prolong_once
+    monkeypatch.setattr(polyprolong, "_prolong_once",
+                        lambda *args: steps.append(args) or spencer_step(*args))
+    rep = verify_prolongation_theorems(parse_symbol("D(3,4)"), 3)
+    assert [e["dim_p"] for e in rep["layers"]] == [1, 0, 0]
+    assert len(steps) <= 6
+    steps.clear()
+    assert main(["prolong", "standard", "--spec", "D(3,4)", "--kmax", "3"]) == 0
+    assert "k=3 dim_p=0 dim_l=0" in capsys.readouterr().out
+    assert len(steps) <= 6
 
 
 def test_standard_prolong_derivative_closure():
     x = space("D(3,4)")
     dec = decomposition("D(3,4)")
-    w1 = standard_prolong(dec.p, 1, x.sigma, weights=x.weights)
-    w0 = standard_prolong(dec.p, 0, x.sigma, weights=x.weights)
+    w0, w1 = standard_prolong(dec.p, 1, x.sigma)
     assert w1.dim == 1
     for f in w1.basis:
         for name in f.variables:
@@ -267,8 +270,9 @@ def row_vanishes(x, ci, polys, k):
 def test_row_secant_inclusion_matches_full_ambient_substitution(text):
     x = space(text)
     rep = verify_prolongation_theorems(parse_symbol(text), 2)
+    chain = standard_prolong(decomposition(text).p, 2, x.sigma)
     for e in rep["layers"]:
-        p_k = standard_prolong(decomposition(text).p, e["k"], x.sigma, weights=x.weights)
+        p_k = chain[e["k"]]
         want = all(full_ambient_vanishes(x, ci, p_k.basis, e["k"])
                    for ci in range(len(x.symbol.components)))
         assert e["p_vanishes_on_row_secants"] is want
@@ -279,8 +283,9 @@ def test_row_certificate_matches_full_ambient_where_it_fails(text):
     # infinite type: p^(k) does not vanish on the row secants, and verify
     # reports null, so compare the two certificates directly
     x = space(text)
+    chain = standard_prolong(decomposition(text).p, 2, x.sigma)
     for k in (1, 2):
-        p_k = standard_prolong(decomposition(text).p, k, x.sigma, weights=x.weights)
+        p_k = chain[k]
         for ci in range(len(x.symbol.components)):
             assert row_vanishes(x, ci, p_k.basis, k) is False
             assert full_ambient_vanishes(x, ci, p_k.basis, k) is False
@@ -424,13 +429,11 @@ def test_standard_prolong_matches_dense_reference(text, kmax):
     x = space(text)
     dec = decomposition(text)
     for w in (dec.p, dec.l_of_x):
-        for k in range(kmax + 1):
-            got = standard_prolong(w, k, x.sigma, weights=x.weights)
+        chain = standard_prolong(w, kmax, x.sigma)
+        assert [got.degree for got in chain] == list(range(2, kmax + 3))
+        for k, got in enumerate(chain):
             want = reference_standard_prolong(w, k, x.sigma, weights=x.weights)
             assert repr(got.basis) == repr(want.basis)
-            if kmax == 3:
-                flat = standard_prolong(w, k, x.sigma)
-                assert repr(flat.basis) == repr(want.basis)
 
 
 def test_standard_prolong_matches_dense_reference_on_sp2():
@@ -438,8 +441,7 @@ def test_standard_prolong_matches_dense_reference_on_sp2():
     sp2 = []
     for k in (-2, -1, 0, 1, 2):
         sp2.extend(graded_symplectic_basis(x, k, conformal=False))
-    for k in range(4):
-        got = standard_prolong(tuple(sp2), k, x.sigma, weights=x.weights)
+    for k, got in enumerate(standard_prolong(tuple(sp2), 3, x.sigma)):
         assert got.dim == k + 3
         assert repr(got.basis) == repr(
             reference_standard_prolong(tuple(sp2), k, x.sigma, weights=x.weights).basis)
@@ -447,15 +449,14 @@ def test_standard_prolong_matches_dense_reference_on_sp2():
 
 def test_standard_prolong_inhomogeneous_space_matches_dense_reference():
     # the sum of a degree-0 and a degree-1 element is not weight-homogeneous,
-    # so the chain keeps one block
+    # so the reference keeps one block
     x = space("D(1,1)")
     mixed = [
         tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
         for a, b in zip(graded_symplectic_basis(x, 0, conformal=False),
                         graded_symplectic_basis(x, 1, conformal=False))
     ]
-    for k in range(3):
-        got = standard_prolong(mixed, k, x.sigma, weights=x.weights)
+    for k, got in enumerate(standard_prolong(mixed, 2, x.sigma)):
         want = reference_standard_prolong(mixed, k, x.sigma, weights=x.weights)
         assert repr(got.basis) == repr(want.basis)
 

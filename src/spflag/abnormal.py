@@ -15,15 +15,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonRegularPoint, NonSymplecticFlag, NotInAnnihilator, ConstraintError
+from .errors import (
+    ConstraintError,
+    DegenerateBranch,
+    NonRegularPoint,
+    NonSymplecticFlag,
+    NotInAnnihilator,
+)
 from .exact import (
     Echelon,
     MultiPoly,
     frac,
-    is_zero_vector,
     kernel_basis,
     pfaffian,
     rank,
+    skew_kernel,
     solve_all,
     sub_pfaffians,
     vec,
@@ -156,9 +162,9 @@ def characteristic_direction(fm: FlatModel, point):
     the recipe leaves no distinguished direction.
 
     The point must annihilate the distribution.  Odd rank uses the alternating
-    sub-Pfaffian vector; rank 2 the two length-three bracket forms; even rank
-    at least 4 the derivative of the Pfaffian along the two kernel fields
-    attached to a nonvanishing sub-Pfaffian.
+    sub-Pfaffian vector; even rank the derivative of the Pfaffian along the
+    two kernel fields attached to a nonvanishing sub-Pfaffian (skew_kernel's
+    closed forms), which for rank 2 are the two length-three bracket forms.
     """
     alg = fm.algebra
     point = vec(point)
@@ -177,73 +183,40 @@ def characteristic_direction(fm: FlatModel, point):
             v[fm.distribution[a]] += c
         return tuple(v)
 
+    try:
+        fields = skew_kernel(gval, require_closed_form=True).basis
+    except DegenerateBranch:
+        return None
     if size % 2:
-        cof = sub_pfaffians(gval)
-        coeffs = tuple(cof[a] if a % 2 == 0 else -cof[a] for a in range(size))
-        if is_zero_vector(coeffs):
-            return None
-        return lifted(coeffs)
-
-    if size == 2:
-        if gval[0][1] != 0:
-            return None
-        x1 = alg.basis_vector(fm.distribution[0])
-        x2 = alg.basis_vector(fm.distribution[1])
-        b12 = alg.bracket(x1, x2)
-        c1 = sum(point[k] * alg.bracket(x1, b12)[k] for k in range(alg.dim))
-        c2 = sum(point[k] * alg.bracket(x2, b12)[k] for k in range(alg.dim))
-        if c1 == 0 and c2 == 0:
-            return None
-        return lifted((-c2, c1))
-
-    if pfaffian(gval) != 0:
+        return lifted(fields[0])
+    if not fields:
         return None
-    cof = sub_pfaffians(gval)
-    pivot = None
-    for a in range(size):
-        for b in range(a + 1, size):
-            if cof[a][b] != 0:
-                pivot = (a, b)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        return None
-
-    # kernel field attached to row i: alternating sub-Pfaffian coefficients
-    def field_coeffs(i):
-        return tuple(-cof[i][j] if j % 2 == 0 else cof[i][j] for j in range(size))
 
     pf_poly = _normalized(pfaffian(g.entries), g.variables)
     assignment = {name: point[k] for k, name in enumerate(g.variables)}
     partials = [pf_poly.derivative(name).subs(assignment) for name in g.variables]
-    basis = [alg.basis_vector(k) for k in range(alg.dim)]
-    dist_vecs = [alg.basis_vector(i) for i in fm.distribution]
 
-    def derivative_along(i):
-        coeffs = field_coeffs(i)
+    def derivative_along(coeffs):
+        """d pf along the kernel field sum_j coeffs[j] X_j: each partial
+        d pf / d l_k times lambda([X, b_k])."""
         total = Fraction(0)
-        for k in range(alg.dim):
-            if partials[k] == 0:
-                continue
-            rate = Fraction(0)
-            for j in range(size):
-                if coeffs[j]:
-                    br = alg.bracket(dist_vecs[j], basis[k])
-                    rate += coeffs[j] * sum(point[m] * br[m] for m in range(alg.dim))
-            total += partials[k] * rate
+        for j, w in enumerate(coeffs):
+            if w:
+                for k, br in alg.rows[fm.distribution[j]].items():
+                    if partials[k]:
+                        total += w * partials[k] * sum(point[m] * c for m, c in br.items())
         return total
 
-    i0, j0 = pivot
-    a = derivative_along(i0)
-    b = derivative_along(j0)
+    ci, cj = fields
+    a = derivative_along(ci)
+    b = derivative_along(cj)
     if a == 0 and b == 0:
         return None
-    ci, cj = field_coeffs(i0), field_coeffs(j0)
-    coeffs = tuple(a * cj[m] - b * ci[m] for m in range(size))
-    if is_zero_vector(coeffs):
-        return None
-    return lifted(coeffs)
+    if size == 2:
+        # rank 2 keeps the orientation (-c2, c1) of its bracket forms
+        # c_i = lambda([X_i, [X_1, X_2]]); here a = c2 and b = c1
+        a, b = -a, -b
+    return lifted(tuple(a * cj[m] - b * ci[m] for m in range(size)))
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,6 @@ def _goh_checks(m, g, loc):
         form = hamiltonian_form(g.variables, b12)
         checks.append({"name": "pfaffian is the central bracket form",
                        "holds": loc.pfaffian == form})
-        filt = derived_filtration(m)
         double = [alg.bracket(x1, b12), alg.bracket(x2, b12)]
         lvl2 = rref(list(_locus_span_target(filt, 1)) + double)[0]
         checks.append({
@@ -554,8 +553,9 @@ def _rational_from_json(v):
         raise ValueError("curve entries must be integers or 'p/q' strings")
     if isinstance(v, int):
         return Fraction(v)
-    # 'p/q' only: Fraction would also expand an exponent such as '1e999999999'
-    if isinstance(v, str) and re.fullmatch(r"\s*[+-]?\d+(/\d*[1-9]\d*)?\s*", v):
+    # 'p/q' in ASCII digits only, as in parse_symbol: Fraction would also read
+    # other Unicode digits and expand an exponent such as '1e999999999'
+    if isinstance(v, str) and re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?\s*", v):
         return Fraction(v)
     raise ValueError(f"bad rational value {v!r}")
 

@@ -9,6 +9,7 @@ prime, for callers that certify what they lift.  No floating point anywhere.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -378,34 +379,37 @@ def check_skew(a):
                 raise NonSkew(f"entries ({i},{j}) and ({j},{i}) are not opposite")
 
 
-def pfaffian(a):
-    """Pfaffian of a skew matrix, by first-row cofactor recursion.
+def _pfaffians(a):
+    """pf(idx): the Pfaffian of a on the sorted index tuple idx, by first-row
+    cofactor recursion; each sub-Pfaffian is expanded once per table.
 
     Generic over the entry type: works for Fraction entries and for MultiPoly
-    entries (anything supporting +, -, * with int identities 0 and 1).  The
-    caller is responsible for skewness; use check_skew for validation.
+    entries (anything supporting +, -, * with int identities 0 and 1).
     """
-    n = len(a)
-    if n % 2:
-        return 0
-    memo = {}
-
+    @functools.cache
     def pf(idx):
+        if len(idx) % 2:
+            return 0
         if not idx:
             return 1
-        if idx in memo:
-            return memo[idx]
-        s0 = idx[0]
-        rest = idx[1:]
+        s0, rest = idx[0], idx[1:]
         total = 0
         for pos, k in enumerate(rest):
-            sub = tuple(x for x in rest if x != k)
-            term = a[s0][k] * pf(sub)
+            term = a[s0][k] * pf(rest[:pos] + rest[pos + 1:])
             total = total + term if pos % 2 == 0 else total - term
-        memo[idx] = total
         return total
 
-    return pf(tuple(range(n)))
+    return pf
+
+
+def _without(n, *drop):
+    return tuple(k for k in range(n) if k not in drop)
+
+
+def pfaffian(a):
+    """Pfaffian of a skew matrix (0 for odd size).  The caller is responsible
+    for skewness; use check_skew for validation."""
+    return _pfaffians(a)(tuple(range(len(a))))
 
 
 def sub_pfaffians(a):
@@ -418,17 +422,13 @@ def sub_pfaffians(a):
     input the single cofactor A_01 is 1.
     """
     n = len(a)
-
-    def deleted(drop):
-        keep = [k for k in range(n) if k not in drop]
-        return [[a[i][j] for j in keep] for i in keep]
-
+    pf = _pfaffians(a)
     if n % 2:
-        return tuple(pfaffian(deleted({i})) for i in range(n))
+        return tuple(pf(_without(n, i)) for i in range(n))
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = pfaffian(deleted({i, j}))
+            p = pf(_without(n, i, j))
             out[i][j] = p
             out[j][i] = -p
     return tuple(tuple(r) for r in out)
@@ -446,37 +446,35 @@ def skew_kernel(a, require_closed_form=False):
     those cases closed_form is True and the basis comes from cofactors.  When
     every relevant cofactor vanishes the corank is higher and there is no
     closed form: by default we fall back to kernel_basis (closed_form False),
-    with require_closed_form=True we raise DegenerateBranch instead.
+    with require_closed_form=True we raise DegenerateBranch instead.  The
+    Pfaffian and the cofactors come from one table, and only the two cofactor
+    rows of the first nonzero cofactor are read.
     """
     check_skew(a)
     n = len(a)
     if n == 0:
         return SkewKernelResult((), True)
+    pf = _pfaffians(a)
     if n % 2:
-        cof = sub_pfaffians(a)
-        v = tuple(cof[i] if i % 2 == 0 else -cof[i] for i in range(n))
+        v = tuple(pf(_without(n, i)) * (-1) ** i for i in range(n))
         if not is_zero_vector(v):
             return SkewKernelResult((v,), True)
     else:
-        pf = pfaffian(a)
-        if pf != 0:
+        if pf(tuple(range(n))) != 0:
             return SkewKernelResult((), True)
-        cof = sub_pfaffians(a)
-        pivot = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if cof[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+
+        def cof(i, j):
+            if i == j:
+                return 0
+            return pf(_without(n, i, j)) if i < j else -pf(_without(n, j, i))
+
+        pivot = next(((i, j) for i in range(n) for j in range(i + 1, n) if cof(i, j) != 0),
+                     None)
         if pivot is not None:
-            i0, j0 = pivot
-
-            def cof_vector(i):
-                return tuple(-cof[i][j] if j % 2 == 0 else cof[i][j] for j in range(n))
-
-            return SkewKernelResult((cof_vector(i0), cof_vector(j0)), True)
+            # the kernel field of row i: alternating cofactors of that row
+            return SkewKernelResult(
+                tuple(tuple(cof(i, j) * (-1) ** (j + 1) for j in range(n)) for i in pivot),
+                True)
     if require_closed_form:
         raise DegenerateBranch("all Pfaffian cofactors vanish; corank too high")
     return SkewKernelResult(kernel_basis(a), False)
@@ -721,17 +719,27 @@ def monomials_of_degree(nvars, d):
     return tuple(out)
 
 
+def _minors(a):
+    """minor(rows, cols): the determinant of a on the index tuples rows and
+    cols, by first-row cofactor recursion; each sub-minor is expanded once
+    per table.  Generic over the entry type, like _pfaffians."""
+    @functools.cache
+    def minor(rows, cols):
+        if not rows:
+            return 1
+        if len(rows) == 1:
+            return a[rows[0]][cols[0]]
+        r0, rest = rows[0], rows[1:]
+        total = 0
+        for pos, c in enumerate(cols):
+            term = a[r0][c] * minor(rest, cols[:pos] + cols[pos + 1:])
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return minor
+
+
 def det_generic(a):
     """Cofactor determinant for matrices with generic (e.g. MultiPoly) entries."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        entry = a[0][j]
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * det_generic(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    idx = tuple(range(len(a)))
+    return _minors(a)(idx, idx)

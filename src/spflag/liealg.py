@@ -68,17 +68,6 @@ class GradedLieAlgebra:
                         out[k] += c * x
         return tuple(out)
 
-    def ad(self, u):
-        """Matrix of ad(u) = [u, .] acting on coefficient vectors."""
-        n = self.dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, ui in enumerate(u):
-            if ui:
-                for j, t in self.rows[i].items():
-                    for k, x in t.items():
-                        m[k][j] += ui * x
-        return tuple(tuple(r) for r in m)
-
     def check_graded(self):
         d = self.degrees2
         for i, row in enumerate(self.rows):

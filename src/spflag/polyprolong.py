@@ -20,7 +20,7 @@ from .errors import CapReached, CertificationFailure, RangeError
 from .exact import (
     Echelon,
     MultiPoly,
-    det_generic,
+    _minors,
     kernel_basis,
     kernel_mod,
     monomials_of_degree,
@@ -369,10 +369,10 @@ def hankel_minor_space(s, k, alpha=None):
     size = k + 2
     for a in alphas:
         nrows, ncols = a + 1, s + 2 - a
+        minor = _minors([[gens[i + j] for j in range(ncols)] for i in range(nrows)])
         for rsel in itertools.combinations(range(nrows), size):
-            for csel in itertools.combinations(range(ncols), size):
-                sub = [[gens[i + j + 1 - 1] for j in csel] for i in rsel]
-                minors.append(det_generic(sub))
+            minors.extend(minor(rsel, csel)
+                          for csel in itertools.combinations(range(ncols), size))
     return poly_space(size, variables, minors)
 
 

@@ -2,6 +2,7 @@
 and flag-symbol extraction round trips."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,10 +35,12 @@ from spflag.exact import (
     MultiPoly,
     frac,
     kernel_basis,
+    pfaffian,
     rref,
     solve_linear,
     span_contains,
     spans_equal,
+    sub_pfaffians,
 )
 from spflag.liealg import FlatModel, algebra_from_entries, flat_model
 from spflag.symbols import HALF, build_model_space, parse_symbol, render_symbol
@@ -257,6 +260,77 @@ def test_even_rank4_directions():
     want = tuple(2 * a - b for a, b in zip(basis(m, "x"), basis(m, "C1[1/2]")))
     assert scaled == tuple(8 * c for c in want)
     assert characteristic_direction(m, dual_point(m, {"F0[-2]": 1, "C1[-5/2]": 1})) is None
+
+
+def _pivot_direction(m, point):
+    """The closed form characteristic_direction used before it read
+    skew_kernel: every cofactor of the Goh matrix at the point, the first
+    nonzero one in row order as pivot, and dense brackets of basis vectors."""
+    alg = m.algebra
+    g = goh_matrix(m)
+    size = g.size
+    assignment = {name: point[k] for k, name in enumerate(g.variables)}
+    gval = [[e.subs(assignment) for e in row] for row in g.entries]
+
+    def lifted(coeffs):
+        v = [Fraction(0)] * alg.dim
+        for a, c in enumerate(coeffs):
+            v[m.distribution[a]] += c
+        return tuple(v)
+
+    cof = sub_pfaffians(gval)
+    if size % 2:
+        coeffs = tuple(cof[a] if a % 2 == 0 else -cof[a] for a in range(size))
+        return lifted(coeffs) if any(coeffs) else None
+    if pfaffian(gval) != 0:
+        return None
+    pivots = [(a, b) for a in range(size) for b in range(a + 1, size) if cof[a][b] != 0]
+    if not pivots:
+        return None
+    if size == 2:
+        x1, x2 = (alg.basis_vector(i) for i in m.distribution)
+        b12 = alg.bracket(x1, x2)
+        c1, c2 = (sum(point[k] * alg.bracket(x, b12)[k] for k in range(alg.dim))
+                  for x in (x1, x2))
+        return None if c1 == 0 and c2 == 0 else lifted((-c2, c1))
+
+    def field(i):
+        return tuple(-cof[i][j] if j % 2 == 0 else cof[i][j] for j in range(size))
+
+    pf_poly = pfaffian(g.entries)
+    partials = [pf_poly.derivative(name).subs(assignment) for name in g.variables]
+
+    def derivative_along(i):
+        total = Fraction(0)
+        for k in range(alg.dim):
+            for j, c in enumerate(field(i)):
+                br = alg.bracket(alg.basis_vector(m.distribution[j]), alg.basis_vector(k))
+                total += partials[k] * c * sum(point[q] * br[q] for q in range(alg.dim))
+        return total
+
+    i0, j0 = pivots[0]
+    a, b = derivative_along(i0), derivative_along(j0)
+    coeffs = tuple(a * cj - b * ci for ci, cj in zip(field(i0), field(j0)))
+    return lifted(coeffs) if any(coeffs) else None
+
+
+@pytest.mark.parametrize("text", [
+    "R(5/2)", "D(2,3)", "D(2,3)+R(5/2)", "D(1,2)+R(3/2)", "2*D(1,2)",
+    "D(1,2)+D(1,1)+R(3/2)", "3*D(1,1)"])
+def test_direction_matches_pivot_closed_form(text):
+    m = fm(text)
+    free = [i for i in range(m.algebra.dim) if i not in m.distribution]
+    rng = random.Random(text)
+    found = 0
+    for _ in range(30):
+        # sparse points meet the degeneracy locus often enough
+        pt = [Fraction(0)] * m.algebra.dim
+        for i in rng.sample(free, rng.randint(1, 2)):
+            pt[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        d = characteristic_direction(m, tuple(pt))
+        assert d == _pivot_direction(m, tuple(pt))
+        found += d is not None
+    assert found >= 4
 
 
 @pytest.mark.parametrize("text", ["D(2,3)", "D(2,3)+R(5/2)"])

@@ -97,11 +97,24 @@ def test_parse_rejects_bad_term(capsys):
 @pytest.mark.parametrize("argv,token", [
     (("verify", "--spec", "D(\u0663,4)"), "\u0663"),
     (("symbol", "parse", "--spec", "R(\uff11/2)"), "\uff11/2"),
+    (("extract", "--curve"), "\u0663"),
+    (("extract", "--curve"), "\uff13"),
+    (("extract", "--curve"), "3/\u0664"),
 ])
-def test_non_ascii_digits_are_one_error_line(capsys, argv, token):
+def test_non_ascii_digits_are_one_error_line(capsys, tmp_path, argv, token):
+    if argv[0] == "extract":
+        # the token as the constant term of an R(5/2) curve that extracts
+        # when it reads as 3
+        path = curve_file(tmp_path / "c.json", "R(5/2)")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["columns"][0][0] = [token]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv += (str(path),)
+        want = f"error: bad rational value {token!r}\n"
+    else:
+        want = f"error: cannot read row top {token!r} (expected an integer or p/2)\n"
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: cannot read row top {token!r} (expected an integer or p/2)\n"
+    assert (code, out, err) == (1, "", want)
 
 
 @pytest.mark.parametrize("spec", ["99999999*D(1,2)", "R(99999999/2)", "D(1,999)+D(1,2)"])

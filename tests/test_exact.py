@@ -268,6 +268,65 @@ def test_pfaffian_cofactor_expansion_seeded():
                 assert acc == expected
 
 
+def _pfaffian_by_recursion(a):
+    """The Pfaffian by first-row cofactor recursion with a memo of its own,
+    on an explicit matrix: the oracle for the shared cofactor table."""
+    memo = {}
+
+    def pf(idx):
+        if not idx:
+            return 1
+        if idx not in memo:
+            s0, rest = idx[0], idx[1:]
+            total = 0
+            for pos, k in enumerate(rest):
+                term = a[s0][k] * pf(tuple(x for x in rest if x != k))
+                total = total + term if pos % 2 == 0 else total - term
+            memo[idx] = total
+        return memo[idx]
+
+    return 0 if len(a) % 2 else pf(tuple(range(len(a))))
+
+
+def _deleted(a, drop):
+    keep = [k for k in range(len(a)) if k not in drop]
+    return [[a[i][j] for j in keep] for i in keep]
+
+
+def random_poly_skew(rng, n):
+    """Skew matrix of random linear forms in three variables."""
+    vs = ("u", "v", "w")
+    gens = [MultiPoly.variable(vs, x) for x in vs]
+    a = [[MultiPoly(vs)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = MultiPoly(vs)
+            for g in gens:
+                x = x + g * rng.randint(-3, 3)
+            a[i][j] = x
+            a[j][i] = -x
+    return tuple(tuple(r) for r in a)
+
+
+@pytest.mark.parametrize("entries", ["fraction", "poly"])
+def test_sub_pfaffians_match_deleted_submatrices(entries):
+    make = random_skew if entries == "fraction" else random_poly_skew
+    for n in range(8):
+        for seed in range(3):
+            a = make(random.Random(100 * n + seed), n)
+            assert pfaffian(a) == _pfaffian_by_recursion(a)
+            cof = sub_pfaffians(a)
+            if n % 2:
+                assert cof == tuple(_pfaffian_by_recursion(_deleted(a, {i}))
+                                    for i in range(n))
+                continue
+            for i in range(n):
+                assert cof[i][i] == 0
+                for j in range(i + 1, n):
+                    p = _pfaffian_by_recursion(_deleted(a, {i, j}))
+                    assert cof[i][j] == p and cof[j][i] == -p
+
+
 # --- skew kernels ----------------------------------------------------------
 
 def test_skew_kernel_3x3_pattern():
@@ -321,6 +380,46 @@ def test_skew_kernel_matches_nullspace_seeded():
         assert spans_equal(res.basis, kernel_basis(a))
         hit_closed += res.closed_form
     assert hit_closed > 50
+
+
+def _kernel_from_all_cofactors(a):
+    """The closed forms from the full cofactor table: the alternating
+    cofactor vector for odd size, else the alternating cofactor rows of the
+    first nonzero cofactor in row order; None when no closed form applies."""
+    n = len(a)
+    if n % 2:
+        cof = [_pfaffian_by_recursion(_deleted(a, {i})) for i in range(n)]
+        v = tuple(c if i % 2 == 0 else -c for i, c in enumerate(cof))
+        return (v,) if any(v) else None
+    if _pfaffian_by_recursion(a) != 0:
+        return ()
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = _pfaffian_by_recursion(_deleted(a, {i, j}))
+            cof[i][j], cof[j][i] = p, -p
+    pivots = [(i, j) for i in range(n) for j in range(i + 1, n) if cof[i][j] != 0]
+    if not pivots:
+        return None
+    return tuple(tuple(-cof[r][c] if c % 2 == 0 else cof[r][c] for c in range(n))
+                 for r in pivots[0])
+
+
+def test_skew_kernel_closed_forms_match_full_cofactor_table():
+    rng = random.Random(31)
+    for n in range(1, 8):
+        for drop in range(5):
+            a = [list(r) for r in random_skew(rng, n)]
+            # zero the first rows and columns to raise the corank
+            for i in range(min(drop, n)):
+                for j in range(n):
+                    a[i][j] = a[j][i] = Fraction(0)
+            want = _kernel_from_all_cofactors(a)
+            if want is None:
+                with pytest.raises(DegenerateBranch):
+                    skew_kernel(a, require_closed_form=True)
+            else:
+                assert skew_kernel(a, require_closed_form=True).basis == want
 
 
 # --- polynomials -----------------------------------------------------------
@@ -381,6 +480,30 @@ def test_monomials_of_degree():
     assert len(ms) == 6
     assert ms[0] == (2, 0, 0)
     assert all(sum(m) == 2 for m in ms)
+
+
+def _det_by_laplace(a):
+    """Laplace expansion along the first row, each minor copied and expanded
+    anew: the oracle for the shared minor table."""
+    if not a:
+        return 1
+    total = 0
+    for j in range(len(a)):
+        term = a[0][j] * _det_by_laplace([row[:j] + row[j + 1:] for row in a[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_det_generic_matches_laplace_expansion():
+    rng = random.Random(12)
+    vs = ("u", "v")
+    gens = [MultiPoly.variable(vs, x) for x in vs]
+    for n in range(6):
+        a = [list(random_matrix(rng, n, n)[i]) for i in range(n)]
+        assert det_generic(a) == _det_by_laplace(a)
+        p = [[gens[rng.randrange(2)] * rng.randint(-2, 2) + rng.randint(-2, 2)
+              for _ in range(n)] for _ in range(n)]
+        assert det_generic(p) == _det_by_laplace(p)
 
 
 def test_det_generic_on_polys():

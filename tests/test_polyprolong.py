@@ -1,4 +1,6 @@
 """Polynomial prolongations, secant and Hankel ideals, theorem cross-checks."""
+import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +185,33 @@ def test_hankel_minor_space_values():
     assert hankel_minor_space(2, 0, 1).dim == 3
     assert hankel_minor_space(3, 1, 2).dim == 1
     assert hankel_minor_space(3, 1).dim == 1
+
+
+def _leibniz_det(a):
+    """Determinant as the signed sum over permutations (Leibniz formula)."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = math.prod((a[i][perm[i]] for i in range(n)), start=1)
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("s, k, alpha", [
+    (s, k, alpha) for s in range(2, 7) for k in range(0, 3)
+    for alpha in range(k + 1, s - k + 1)])
+def test_hankel_minor_space_matches_leibniz_minors(s, k, alpha):
+    variables = tuple(f"x{i}" for i in range(1, s + 3))
+    gens = [MultiPoly.variable(variables, name) for name in variables]
+    size = k + 2
+    minors = [_leibniz_det([[gens[i + j] for j in csel] for i in rsel])
+              for rsel in itertools.combinations(range(alpha + 1), size)
+              for csel in itertools.combinations(range(s + 2 - alpha), size)]
+    want = poly_space(size, variables, minors)
+    got = hankel_minor_space(s, k, alpha)
+    assert want.dim > 0
+    assert got.equals(want)
 
 
 def test_hankel_range_errors():

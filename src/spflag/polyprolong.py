@@ -10,6 +10,7 @@ into results.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -219,14 +220,13 @@ def developable_sampler(base: VarietySampler, j):
     if base.params != ("t",):
         raise ValueError("expected a one-parameter curve")
     params = ("t",) + tuple(f"u{i}" for i in range(j + 1))
-    t_new = MultiPoly.variable(params, "t")
     coords = []
     for c in base.coords:
         total = MultiPoly.constant(params, 0)
         deriv = c
         for i in range(j + 1):
             u_i = MultiPoly.variable(params, f"u{i}")
-            total = total + deriv.subs({"t": t_new}) * u_i
+            total = total + embed_poly(deriv, params, {"t": 0}) * u_i
             deriv = deriv.derivative("t")
         coords.append(total)
     return VarietySampler(params, tuple(coords), base.ambient, (1,) + tuple(range(j + 1)))
@@ -239,9 +239,9 @@ def _secant_parametrization(v: VarietySampler, k):
     all_params = tuple(copies + [f"c__{i}" for i in range(1, k + 1)])
     point = [MultiPoly.constant(all_params, 0)] * len(v.coords)
     for copy in range(k + 1):
-        ren = {name: MultiPoly.variable(all_params, f"{name}__{copy}") for name in v.params}
+        ren = {name: all_params.index(f"{name}__{copy}") for name in v.params}
         scale = MultiPoly.variable(all_params, f"c__{copy}") if copy else 1
-        point = [x + c.subs(ren) * scale for x, c in zip(point, v.coords)]
+        point = [x + embed_poly(c, all_params, ren) * scale for x, c in zip(point, v.coords)]
     return all_params, tuple(point)
 
 
@@ -249,10 +249,12 @@ def secant_certificate(v: VarietySampler, k):
     """The exact test that polynomials over v.ambient vanish on the k-th
     secant variety of v: each must substitute to the zero polynomial at the
     symbolic secant point.  Fixing the first point's coefficient at 1 loses
-    nothing for homogeneous polynomials."""
-    _, point = _secant_parametrization(v, k)
-    subs_map = dict(zip(v.ambient, point))
-    return lambda polys: all(not p.subs(subs_map).terms for p in polys)
+    nothing for homogeneous polynomials.  The point is built at the first
+    nonzero polynomial, since the zero polynomial vanishes everywhere."""
+    @functools.cache
+    def subs_map():
+        return dict(zip(v.ambient, _secant_parametrization(v, k)[1]))
+    return lambda polys: all(not p.subs(subs_map()).terms for p in polys if p.terms)
 
 
 # one prime per round of secant_ideal; each round samples twice the points
@@ -320,7 +322,7 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42):
     blocks = list(blocks.values())
     draws = []
     need = max(map(len, blocks), default=0) + 8
-    certify = None
+    certify = secant_certificate(v, k)
     polys = []
     for p in SECANT_PRIMES:
         draws += [_draw(rng, v, k) for _ in range(need - len(draws))]
@@ -340,11 +342,9 @@ def secant_ideal(v: VarietySampler, degree, k, seed=42):
                 uncertified.append(block)
                 continue
             found = [MultiPoly(v.ambient, dict(zip(block, vec))) for vec in lifted]
-            if found:
-                certify = certify or secant_certificate(v, k)
-                if not certify(found):
-                    uncertified.append(block)
-                    continue
+            if not certify(found):
+                uncertified.append(block)
+                continue
             polys += found
         if not uncertified:
             return poly_space(degree, v.ambient, polys)
@@ -379,60 +379,46 @@ def hankel_minor_space(s, k, alpha=None):
 # ---------------------------------------------------------------------------
 # layer elements as polynomials
 
-def tanaka_layer_polynomials(tp: TanakaProlongation, k, variables=None):
-    """Each positive layer element determines a degree-(k+2) polynomial by
-    composing its generator action down to a matrix and pairing with sigma."""
-    x = tp.heis.space
-    n = x.dim
+def tanaka_layer_polynomials(tp: TanakaProlongation, kmax, variables=None):
+    """The chain u^(0), ..., u^(kmax) of Tanaka layer polynomials, as a list:
+    u^(0) is spanned by the quadratic forms of the g0 matrices, and the
+    polynomial of a degree-k element is sum_r (the linear form of its M1 row
+    r) * (the polynomial of element r of degree k - 1), which pairs its
+    generator action, composed down to a matrix, with sigma."""
+    sigma = tp.heis.space.sigma
     if variables is None:
-        variables = default_variables(n)
-    xs = [MultiPoly.variable(variables, name) for name in variables]
-    zero = MultiPoly.constant(variables, 0)
-
-    def linear(row):
-        """The linear form sum_a row[a] x_a."""
-        return MultiPoly(variables, {next(iter(xs[a].terms)): c for a, c in enumerate(row) if c})
-
-    layer = tp.layers[k - 1] if k - 1 < len(tp.layers) else ()
-    polys = []
-    for pick in range(len(layer)):
-        cur = [MultiPoly.constant(variables, 1 if i == pick else 0) for i in range(len(layer))]
-        for j in range(k, 0, -1):
-            basis_j = tp.layers[j - 1]
-            prev_dim = len(tp.layers[j - 2]) if j >= 2 else len(tp.g0)
-            nxt = [zero] * prev_dim
-            for idx, elem in enumerate(basis_j):
-                if not cur[idx].terms:
-                    continue
-                for r in range(prev_dim):
-                    nxt[r] = nxt[r] + cur[idx] * linear(elem.m1[r])
-            cur = nxt
-        w_vec = [zero] * n
-        for s_idx, coord in enumerate(cur):
-            if not coord.terms:
-                continue
-            g = tp.g0[s_idx]
-            for row_i in range(n):
-                w_vec[row_i] = w_vec[row_i] + coord * linear(g[row_i])
-        f_poly = zero
-        for i in range(n):
-            for j2 in range(n):
-                if x.sigma[i][j2] != 0 and w_vec[j2].terms:
-                    f_poly = f_poly + xs[i] * w_vec[j2] * x.sigma[i][j2]
-        polys.append(f_poly)
-    return poly_space(k + 2, tuple(variables), polys)
+        variables = default_variables(len(sigma))
+    polys = [symmetric_form(g, sigma, variables) for g in tp.g0]
+    chain = [poly_space(2, variables, polys)]
+    for k in range(1, kmax + 1):
+        layer = tp.layers[k - 1] if k - 1 < len(tp.layers) else ()
+        prev, polys = polys, []
+        for elem in layer:
+            terms = {}
+            for row, f in zip(elem.m1, prev):
+                for a, c in enumerate(row):
+                    if c:
+                        for exp, x in f.terms.items():
+                            up = exp[:a] + (exp[a] + 1,) + exp[a + 1:]
+                            terms[up] = terms.get(up, 0) + c * x
+            polys.append(MultiPoly(variables, terms))
+        chain.append(poly_space(k + 2, variables, polys))
+    return chain
 
 
 def embed_poly(p: MultiPoly, target_vars, position_of):
-    """Rename/embed a polynomial into a larger variable tuple."""
-    ren = {
-        name: MultiPoly.variable(tuple(target_vars), target_vars[position_of[name]])
-        for name in p.variables
-    }
-    out = p.subs(ren)
-    if isinstance(out, Fraction):
-        return MultiPoly.constant(tuple(target_vars), out)
-    return out
+    """p with each variable renamed to target_vars[position_of[name]], by
+    moving exponents; names that share a target multiply together."""
+    target_vars = tuple(target_vars)
+    slots = [position_of[name] for name in p.variables]
+    terms = {}
+    for exp, c in p.terms.items():
+        up = [0] * len(target_vars)
+        for i, e in zip(slots, exp):
+            up[i] += e
+        up = tuple(up)
+        terms[up] = terms.get(up, 0) + c
+    return MultiPoly(target_vars, terms)
 
 
 def restrict_poly(p: MultiPoly, boxes, variables):
@@ -539,6 +525,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
     tangential = tangential_variety(sym, rows[0][1])
     p_chain = standard_prolong(dec.p, k_max, x.sigma, variables=xvars)
     l_chain = standard_prolong(dec.l_of_x, k_max, x.sigma, variables=xvars)
+    u_chain = tanaka_layer_polynomials(tp, k_max, variables=xvars) if tp is not None else None
     for k in range(1, k_max + 1):
         entry = {"k": k, "dim_layer": degrees.get(k, 0 if tp is not None else None)}
         p_k, l_k = p_chain[k], l_chain[k]
@@ -546,7 +533,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         entry["dim_l"] = l_k.dim
         entry["p_equals_l"] = p_k.equals(l_k)
         if tp is not None:
-            u_k = tanaka_layer_polynomials(tp, k, variables=xvars)
+            u_k = u_chain[k]
             entry["dim_layer_polys"] = u_k.dim
             entry["layer_faithful"] = u_k.dim == entry["dim_layer"]
             entry["layer_equals_p"] = u_k.equals(p_k)

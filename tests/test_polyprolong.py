@@ -250,14 +250,155 @@ def test_layer_polynomials_faithful():
     x = space("R(3/2)")
     fp = flag_prolong(x)
     tp = prolong(heisenberg_from_space(x), fp.matrices(), kmax=6)
-    u1 = tanaka_layer_polynomials(tp, 1)
+    u1 = tanaka_layer_polynomials(tp, 1)[1]
     assert u1.dim == len(tp.layers[0]) == 4
+
+
+def descent_layer_polynomials(tp, k, variables=None):
+    """Oracle for the Tanaka layer polynomials of degree k: walk each layer
+    element down to g0 through its M1 rows, then pair the composed matrix
+    with sigma."""
+    x = tp.heis.space
+    n = x.dim
+    if variables is None:
+        variables = default_variables(n)
+    xs = [MultiPoly.variable(variables, name) for name in variables]
+    zero = MultiPoly.constant(variables, 0)
+
+    def linear(row):
+        return sum((xs[a] * c for a, c in enumerate(row) if c), zero)
+
+    layer = tp.layers[k - 1] if k - 1 < len(tp.layers) else ()
+    polys = []
+    for pick in range(len(layer)):
+        cur = [MultiPoly.constant(variables, 1 if i == pick else 0) for i in range(len(layer))]
+        for j in range(k, 0, -1):
+            prev_dim = len(tp.layers[j - 2]) if j >= 2 else len(tp.g0)
+            nxt = [zero] * prev_dim
+            for idx, elem in enumerate(tp.layers[j - 1]):
+                if cur[idx].terms:
+                    for r in range(prev_dim):
+                        nxt[r] = nxt[r] + cur[idx] * linear(elem.m1[r])
+            cur = nxt
+        w_vec = [zero] * n
+        for coord, g in zip(cur, tp.g0):
+            for i in range(n):
+                w_vec[i] = w_vec[i] + coord * linear(g[i])
+        polys.append(sum((xs[i] * w_vec[j] * x.sigma[i][j]
+                          for i in range(n) for j in range(n) if x.sigma[i][j]), zero))
+    return poly_space(k + 2, tuple(variables), polys)
+
+
+@pytest.mark.parametrize("text", [
+    "R(3/2)", "D(2,3)", "D(3,4)", "D(1,2)+R(3/2)", "3*D(1/2,1)+R(1/2)",
+])
+def test_tanaka_chain_matches_descent(text):
+    x = space(text)
+    tp = prolong(heisenberg_from_space(x), flag_prolong(x).matrices(), kmax=6)
+    top = len(tp.layers) + 1    # one degree past termination
+    chain = tanaka_layer_polynomials(tp, top)
+    assert len(chain) == top + 1
+    xvars = default_variables(x.dim)
+    g0_forms = [symmetric_form(g, x.sigma, xvars) for g in tp.g0]
+    assert repr(chain[0]) == repr(poly_space(2, xvars, g0_forms))
+    for k in range(1, top + 1):
+        assert repr(chain[k]) == repr(descent_layer_polynomials(tp, k))
+        assert chain[k].dim == (len(tp.layers[k - 1]) if k <= len(tp.layers) else 0)
+
+
+def test_each_tanaka_chain_is_built_once(monkeypatch):
+    # verify reads every degree of one u chain, so one call per report
+    calls = []
+    build = polyprolong.tanaka_layer_polynomials
+    monkeypatch.setattr(polyprolong, "tanaka_layer_polynomials",
+                        lambda *args, **kw: calls.append(args) or build(*args, **kw))
+    rep = verify_prolongation_theorems(parse_symbol("D(3,4)"), 3)
+    assert [e["dim_layer_polys"] for e in rep["layers"]] == [1, 0, 0]
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["verify", "--spec", "R(3/2)", "--kmax", "2", "--json"]) == 0
+    assert len(calls) == 1
+
+
+def subs_rename(p, target_vars, position_of):
+    """Oracle for embed_poly: substitute each variable's target variable."""
+    out = p.subs({name: MultiPoly.variable(target_vars, target_vars[position_of[name]])
+                  for name in p.variables})
+    return MultiPoly.constant(target_vars, out) if isinstance(out, Fraction) else out
 
 
 def test_embed_poly_renames():
     p = MultiPoly(("y0", "y1"), {(1, 1): Fraction(2)})
     q = embed_poly(p, ("x0", "x1", "x2"), {"y0": 0, "y1": 2})
     assert q == MultiPoly(("x0", "x1", "x2"), {(1, 0, 1): Fraction(2)})
+
+
+def test_embed_poly_matches_subs_rename():
+    rng = random.Random(7)
+    names, target = ("a", "b", "c"), ("x0", "x1", "x2", "x3")
+    maps = [{"a": 0, "b": 2, "c": 3}, {"a": 3, "b": 1, "c": 0},
+            {"a": 1, "b": 1, "c": 2}, {"a": 2, "b": 2, "c": 2}]
+    for _ in range(30):
+        terms = {tuple(rng.randint(0, 3) for _ in names): Fraction(rng.randint(-9, 9),
+                                                                   rng.randint(1, 4))
+                 for _ in range(rng.randint(0, 6))}
+        p = MultiPoly(names, terms)
+        for position_of in maps:
+            got = embed_poly(p, target, position_of)
+            assert got == subs_rename(p, target, position_of)
+            assert repr(got) == repr(subs_rename(p, target, position_of))
+    # two names on one target can cancel: a*b - a^2 with a, b -> x1
+    ab = MultiPoly(names, {(1, 1, 0): 1, (2, 0, 0): -1, (0, 0, 1): 2})
+    assert embed_poly(ab, target, maps[2]) == subs_rename(ab, target, maps[2])
+    assert embed_poly(ab, target, maps[2]) == MultiPoly.variable(target, "x2") * 2
+    assert embed_poly(MultiPoly((), {(): 3}), target, {}) == MultiPoly.constant(target, 3)
+
+
+def subs_secant_parametrization(v, k):
+    """Oracle for _secant_parametrization, renaming each copy by subs."""
+    copies = [f"{name}__{copy}" for copy in range(k + 1) for name in v.params]
+    all_params = tuple(copies + [f"c__{i}" for i in range(1, k + 1)])
+    point = [MultiPoly.constant(all_params, 0)] * len(v.coords)
+    for copy in range(k + 1):
+        ren = {name: MultiPoly.variable(all_params, f"{name}__{copy}") for name in v.params}
+        scale = MultiPoly.variable(all_params, f"c__{copy}") if copy else 1
+        point = [x + c.subs(ren) * scale for x, c in zip(point, v.coords)]
+    return all_params, tuple(point)
+
+
+@pytest.mark.parametrize("text,j,k", [("D(2,3)", 0, 2), ("D(3,4)", 0, 1), ("D(3,5)", 1, 1)])
+def test_secant_parametrization_matches_subs_rename(text, j, k):
+    var = sampler(text, j)
+    if j:
+        # the developable too, with t renamed into (t, u0, ..., uj) by subs
+        t, us = MultiPoly.variable(var.params, "t"), var.params[1:]
+        want = []
+        for c in sampler(text, 0).coords:
+            total, deriv = MultiPoly.constant(var.params, 0), c
+            for u in us:
+                total = total + deriv.subs({"t": t}) * MultiPoly.variable(var.params, u)
+                deriv = deriv.derivative("t")
+            want.append(total)
+        assert repr(var.coords) == repr(tuple(want))
+    assert repr(_secant_parametrization(var, k)) == repr(subs_secant_parametrization(var, k))
+
+
+def test_secant_point_is_built_only_for_a_nonzero_polynomial(monkeypatch):
+    built = []
+    build = polyprolong._secant_parametrization
+    monkeypatch.setattr(polyprolong, "_secant_parametrization",
+                        lambda *args: built.append(args) or build(*args))
+    # both rows' restricted p^(1) are zero, so nothing needs the point
+    assert main(["verify", "--spec", "D(2,3)+R(5/2)", "--kmax", "1", "--json"]) == 0
+    assert built == []
+    curve = shift_orbit_sampler(space("D(2,3)"), 0)
+    y0, y1, y2 = (MultiPoly.variable(curve.ambient, f"y{i}") for i in range(3))
+    certify = secant_certificate(curve, 1)
+    assert certify([]) and certify([MultiPoly(curve.ambient)])
+    assert built == []
+    assert not certify([MultiPoly(curve.ambient), y0 * y2 * 2 - y1 * y1])
+    assert certify([y0 * 0]) and not certify([y1 * y1 - y0 * y2 * 2])
+    assert len(built) == 1    # built once, then reused
 
 
 def test_verify_report_nonrectangular_tower():

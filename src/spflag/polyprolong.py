@@ -6,7 +6,8 @@ Polynomial spaces are exact.  Secant ideals are sampled at seeded integer
 points and eliminated modulo a prime, but every reported polynomial is lifted
 to the rationals and certified by symbolic substitution of the variety's
 parametrization, so the seed picks only the sample points and never leaks
-into results.
+into results.  A certified slice spans every polynomial of its degree that
+vanishes on the variety, so membership in it is an exact vanishing test.
 """
 from __future__ import annotations
 
@@ -59,13 +60,18 @@ class PolySpace:
     def dim(self):
         return len(self.basis)
 
+    @functools.cached_property
+    def _span(self):
+        return Echelon(None, map(_keyed, self.basis))
+
     def contains(self, p):
+        """Reduce p against one echelon form of the basis, built once."""
         if not p.terms:
             return True
         if p.variables != self.variables:
             return False
         # a term of another degree meets no basis column, so it survives
-        return Echelon(None, map(_keyed, self.basis)).contains(_keyed(p))
+        return self._span.contains(_keyed(p))
 
     def equals(self, other):
         """Every basis is the canonical rref of its span (see poly_space), so

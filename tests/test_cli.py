@@ -346,6 +346,33 @@ def test_secant_hankel_agreement(capsys):
     assert e["hankel_matches_row_ideal"] is True
 
 
+@pytest.mark.parametrize("minors,dim,certified", [
+    # x1^3 rescales to y0^3, which is outside the row ideal
+    (lambda xs: [xs[0] ** 3], 1, "FAIL"),
+    # the zero space lies in the slice, but is not all of it
+    (lambda xs: [], 0, "PASS"),
+], ids=["outside", "zero"])
+def test_secant_hankel_failure_paths(capsys, monkeypatch, minors, dim, certified):
+    from spflag import cli
+    from spflag.polyprolong import poly_space
+
+    def fake_hankel(s, k):
+        names = tuple(f"x{i}" for i in range(1, s + 3))
+        xs = [MultiPoly.variable(names, n) for n in names]
+        return poly_space(k + 2, names, minors(xs))
+
+    monkeypatch.setattr(cli, "hankel_minor_space", fake_hankel)
+    code, out, _ = run(capsys, "secant", "--spec", "D(3,4)", "--kmax", "1", "--json")
+    assert code == 2
+    e = json.loads(out)["layers"][0]
+    assert e["dim_hankel"] == dim
+    assert e["hankel_certified"] is (certified == "PASS")
+    assert e["hankel_matches_row_ideal"] is False
+    code, out, _ = run(capsys, "secant", "--spec", "D(3,4)", "--kmax", "1")
+    assert code == 2
+    assert f"certified={certified}" in out and "matches=FAIL" in out
+
+
 # --- flat model and goh -----------------------------------------------------
 
 def test_flat_model_brackets(capsys):

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from spflag.cli import main
+from spflag.cli import _rescaled_hankel, main
 from spflag.errors import CertificationFailure, RangeError
 from spflag import polyprolong
 from spflag.exact import MultiPoly, kernel_basis, kernel_mod, monomials_of_degree, rank
@@ -229,21 +229,55 @@ def test_hankel_minors_vanish_on_moment_curve():
         assert not f.subs(subs_map).terms
 
 
+# a symbol whose first row curve has the given number of boxes, s + 2 for
+# the Hankel minors in s + 2 variables; the row curve depends only on that
+ROW_OF_BOXES = {4: "D(2,3)", 5: "D(3,4)", 6: "D(3,5)", 7: "D(4,6)", 8: "R(7/2)",
+                9: "D(4,8)"}
+# (boxes, k) for every row curve of 5-9 boxes and k = 1, 2 with s >= 2k + 1,
+# after the conic case of 4 boxes
+HANKEL_CASES = [(4, 0)] + [(b, k) for b in range(5, 10) for k in (1, 2)
+                           if b - 2 >= 2 * k + 1]
+
+
+@lru_cache(maxsize=None)
+def row_hankel(boxes, k):
+    """The row curve, its certified degree-(k+2) slice of the k-th secant,
+    and the Hankel (k+2)-minors in s + 2 = boxes variables."""
+    base = shift_orbit_sampler(space(ROW_OF_BOXES[boxes]), 0)
+    assert len(base.coords) == boxes
+    return base, secant_ideal(base, k + 2, k), hankel_minor_space(boxes - 2, k)
+
+
+def subs_rescaled_hankel(hank, ambient):
+    """Oracle for cli._rescaled_hankel: x_{i+1} = i! y_i by substitution."""
+    ren = {f"x{i + 1}": MultiPoly.variable(ambient, f"y{i}") * math.factorial(i)
+           for i in range(len(ambient))}
+    return poly_space(hank.degree, ambient, [f.subs(ren) for f in hank.basis])
+
+
 def test_hankel_matches_secant_after_rescaling():
-    # the shifted-row minor space is the curve ideal once coordinates are
-    # rescaled from the moment curve to the exponential curve
-    x = space("D(2,3)")
-    base = shift_orbit_sampler(x, 0)
-    ideal = secant_ideal(base, 2, 0)
-    hank = hankel_minor_space(2, 0)
-    fact = Fraction(1)
-    ren = {}
-    for i in range(4):
-        if i:
-            fact *= i
-        ren[f"x{i + 1}"] = MultiPoly.variable(base.ambient, f"y{i}") * fact
-    rescaled = poly_space(2, base.ambient, [f.subs(ren) for f in hank.basis])
-    assert rescaled.equals(ideal)
+    # the shifted-row minor space is the secant ideal slice once coordinates
+    # are rescaled from the moment curve to the exponential curve
+    for boxes, k in HANKEL_CASES:
+        base, ideal, hank = row_hankel(boxes, k)
+        rescaled = subs_rescaled_hankel(hank, base.ambient)
+        assert rescaled.equals(ideal), (boxes, k)
+        moved = _rescaled_hankel(hank, base.ambient)
+        assert [p.terms for p in moved.basis] == [p.terms for p in rescaled.basis]
+
+
+@pytest.mark.parametrize("boxes,k", HANKEL_CASES[1:])
+def test_slice_membership_agrees_with_secant_certificate(boxes, k):
+    # membership in the certified slice is the vanishing test secant uses
+    # for its minors; substituting the symbolic point is the oracle
+    base, ideal, hank = row_hankel(boxes, k)
+    rescaled = _rescaled_hankel(hank, base.ambient).basis
+    certify = secant_certificate(base, k)
+    assert all(map(ideal.contains, rescaled)) and certify(rescaled)
+    y0 = MultiPoly.variable(base.ambient, "y0")
+    for outside in (y0 ** (k + 2), rescaled[0] + y0 ** (k + 2)):
+        assert not ideal.contains(outside)
+        assert not certify([outside])
 
 
 def test_layer_polynomials_faithful():
@@ -399,6 +433,20 @@ def test_secant_point_is_built_only_for_a_nonzero_polynomial(monkeypatch):
     assert not certify([MultiPoly(curve.ambient), y0 * y2 * 2 - y1 * y1])
     assert certify([y0 * 0]) and not certify([y1 * y1 - y0 * y2 * 2])
     assert len(built) == 1    # built once, then reused
+
+
+@pytest.mark.parametrize("spec,kmax,want", [("D(3,4)", 1, 1), ("D(4,6)", 2, 2)])
+def test_secant_builds_each_point_once(monkeypatch, spec, kmax, want):
+    # the Hankel minors are checked against the slice secant_ideal has
+    # certified, so only secant_ideal builds a point, once per variety and
+    # k; D(4,6) builds none for its developable, whose secants fill the space
+    built = []
+    build = polyprolong._secant_parametrization
+    monkeypatch.setattr(polyprolong, "_secant_parametrization",
+                        lambda *args: built.append(args) or build(*args))
+    assert main(["secant", "--spec", spec, "--kmax", str(kmax), "--json"]) == 0
+    keys = [(id(v), k) for v, k in built]
+    assert len(keys) == len(set(keys)) == want
 
 
 def test_verify_report_nonrectangular_tower():

@@ -38,10 +38,6 @@ class JacobiViolation(ArithmeticError):
     """Raised when assembled structure constants fail the Jacobi identity."""
 
 
-class CertificationFailure(RuntimeError):
-    """Raised when a candidate polynomial identity fails symbolic certification."""
-
-
 class RangeError(ValueError):
     """Raised when a requested minor or prolongation range is empty."""
 

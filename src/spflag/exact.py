@@ -4,8 +4,7 @@ Everything here is exact: scalars are ``fractions.Fraction``, and polynomial
 arithmetic is sparse with rational coefficients.  Every rank, kernel, rref,
 solve and span test runs on one engine, ``Echelon``: an incremental echelon
 form of sparse, primitive integer rows, reduced fraction-free.  ``det`` keeps
-its own sign-tracking Bareiss elimination; ``kernel_mod`` works modulo a
-prime, for callers that certify what they lift.  No floating point anywhere.
+its own sign-tracking Bareiss elimination.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -235,47 +234,6 @@ def rref(a):
     """
     a = mat(a)
     return Echelon(len(a[0]), a).rref() if a else ((), ())
-
-
-def kernel_mod(rows, ncols, p):
-    """Basis of the right kernel of integer rows modulo the prime p, shaped
-    as Echelon.kernel(): one vector per free column, 1 there and 0 at the
-    other free columns, entries in range(p).  The rows (any iterable) are
-    brought to rref one at a time, and none is read once every column has
-    a pivot."""
-    pivots = {}   # column -> row with 1 there and 0 at every other pivot column
-    for row in rows:
-        row = [x % p for x in row]
-        for c, piv in pivots.items():
-            f = row[c]
-            row = [(x - f * y) % p for x, y in zip(row, piv)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        row = [x * inv % p for x in row]
-        for c, piv in pivots.items():
-            f = piv[lead]
-            pivots[c] = [(y - f * x) % p for x, y in zip(row, piv)]
-        pivots[lead] = row
-        if len(pivots) == ncols:
-            break
-    return tuple(tuple(int(j == free) if j not in pivots else -pivots[j][free] % p
-                       for j in range(ncols)) for free in range(ncols) if free not in pivots)
-
-
-def rational_reconstruction(a, p):
-    """The fraction r/s = a mod p with |r| and 0 < s at most sqrt(p/2), or
-    None if there is none; it is unique (Wang 1981).  Extended Euclid on
-    (p, a) stops at the first remainder within the bound."""
-    bound = math.isqrt(p // 2)
-    r0, r1, s0, s1 = p, a % p, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
 
 
 def spans_equal(basis_a, basis_b):

@@ -2,32 +2,24 @@
 Hankel-minor ideal slices, and the harness comparing them with the graded
 prolongation layers.
 
-Polynomial spaces are exact.  Secant ideals are sampled at seeded integer
-points and eliminated modulo a prime, but every reported polynomial is lifted
-to the rationals and certified by symbolic substitution of the variety's
-parametrization, so the seed picks only the sample points and never leaks
-into results.  A certified slice spans every polynomial of its degree that
-vanishes on the variety, so membership in it is an exact vanishing test.
+Everything is exact and nothing is sampled.  For a variety whose
+coordinates are linearly independent, the degree-(k+2) slice of the ideal of
+its k-th secant variety is the k-th standard prolongation of the quadrics
+through it (see secant_ideal), so secant slices come from the same Spencer
+step as standard prolongations.  A slice spans every polynomial of its
+degree that vanishes on the secant, so membership in it is an exact
+vanishing test.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapReached, CertificationFailure, RangeError
-from .exact import (
-    Echelon,
-    MultiPoly,
-    _minors,
-    kernel_basis,
-    kernel_mod,
-    monomials_of_degree,
-    rational_reconstruction,
-)
+from .errors import CapReached, RangeError
+from .exact import Echelon, MultiPoly, _minors, kernel_basis, monomials_of_degree
 from .flagprolong import (
     MatrixSubspace,
     decompose_azp,
@@ -128,15 +120,6 @@ def symmetric_form(a, sigma, variables):
     return MultiPoly(tuple(variables), terms)
 
 
-def _weight(terms, weights):
-    """The weight shared by every exponent in terms, or None when they
-    differ; an empty polynomial is homogeneous of every weight, so 0."""
-    ws = {sum(e * w for e, w in zip(exp, weights) if e) for exp in terms}
-    if len(ws) > 1:
-        return None
-    return ws.pop() if ws else 0
-
-
 def _prolong_once(space):
     """The next level of the chain: the polynomials f whose first partials
     all lie in space.  A tuple h_i = sum_g c_ig g of elements of space with
@@ -170,23 +153,28 @@ def _prolong_once(space):
     return polys
 
 
-def standard_prolong(w, kmax, sigma, variables=None):
-    """The chain g^(0), ..., g^(kmax) of standard prolongations of w, as a
-    list: g^(k) holds the homogeneous degree-(k+2) polynomials whose order-k
-    partials all lie in the quadratic-form space g^(0) of w.
+def _prolong_chain(space, kmax):
+    """The chain space^(0), ..., space^(kmax) of standard prolongations of a
+    space of quadrics, as a list: space^(k) holds the homogeneous
+    degree-(k+2) polynomials whose order-k partials all lie in space.
 
-    Each level is g^(k) = {f : d_i f in g^(k-1) for every i} (Sternberg
-    1964), one Spencer step from the level before.
+    Each level is space^(k) = {f : d_i f in space^(k-1) for every i}
+    (Sternberg 1964), one Spencer step from the level before.
     """
+    chain = [space]
+    for degree in range(3, kmax + 3):
+        chain.append(poly_space(degree, space.variables, _prolong_once(chain[-1])))
+    return chain
+
+
+def standard_prolong(w, kmax, sigma, variables=None):
+    """The chain g^(0), ..., g^(kmax) of standard prolongations of w, with
+    g^(0) the quadratic-form space of w (see _prolong_chain)."""
     mats = w.basis if isinstance(w, MatrixSubspace) else tuple(w)
     if variables is None:
         variables = default_variables(len(sigma))
-    space = poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats])
-    chain = [space]
-    for degree in range(3, kmax + 3):
-        space = poly_space(degree, space.variables, _prolong_once(space))
-        chain.append(space)
-    return chain
+    return _prolong_chain(
+        poly_space(2, variables, [symmetric_form(a, sigma, variables) for a in mats]), kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +185,30 @@ class VarietySampler:
     params: tuple     # parameter names
     coords: tuple     # MultiPoly over params, one per ambient coordinate
     ambient: tuple    # ambient variable names
-    param_weights: tuple = None   # weight of each parameter, if any is known
+
+    @functools.cached_property
+    def quadrics(self):
+        """I_2(X), the quadrics through the variety X, built once; ValueError
+        when the coordinates are linearly dependent (see secant_ideal)."""
+        if _vanishing_forms(self, 1):
+            raise ValueError("the variety's coordinates are linearly dependent, "
+                             "so its secant ideals are not prolongations")
+        return poly_space(2, self.ambient, _vanishing_forms(self, 2))
+
+
+def _vanishing_forms(v: VarietySampler, degree):
+    """The forms of the degree over v.ambient that vanish on v: the kernel
+    of f -> f o gamma for the parametrization gamma, with one unknown per
+    monomial and one equation per monomial in the parameters."""
+    monos = monomials_of_degree(len(v.coords), degree)
+    one = MultiPoly.constant(v.params, 1)
+    rows = {}
+    for col, m in enumerate(monos):
+        image = math.prod((c ** e for c, e in zip(v.coords, m) if e), start=one)
+        for exp, c in image.terms.items():
+            rows.setdefault(exp, {})[col] = c
+    return [MultiPoly(v.ambient, dict(zip(monos, vec)))
+            for vec in kernel_basis(list(rows.values()), len(monos))]
 
 
 def _row_boxes(x: GradedSymplecticSpace, component):
@@ -218,7 +229,7 @@ def shift_orbit_sampler(x: GradedSymplecticSpace, component):
     n = len(_row_boxes(x, component))
     t = MultiPoly.variable(("t",), "t")
     curve = tuple(t ** i * Fraction(1, math.factorial(i)) for i in range(n))
-    return VarietySampler(("t",), curve, tuple(f"y{i}" for i in range(n)), (1,))
+    return VarietySampler(("t",), curve, tuple(f"y{i}" for i in range(n)))
 
 
 def developable_sampler(base: VarietySampler, j):
@@ -235,128 +246,48 @@ def developable_sampler(base: VarietySampler, j):
             total = total + embed_poly(deriv, params, {"t": 0}) * u_i
             deriv = deriv.derivative("t")
         coords.append(total)
-    return VarietySampler(params, tuple(coords), base.ambient, (1,) + tuple(range(j + 1)))
+    return VarietySampler(params, tuple(coords), base.ambient)
 
 
-def _secant_parametrization(v: VarietySampler, k):
-    """Symbolic point of the k-th secant: one parameter copy per point plus
-    mixing coefficients c1..ck (the first point enters with coefficient 1)."""
-    copies = [f"{name}__{copy}" for copy in range(k + 1) for name in v.params]
-    all_params = tuple(copies + [f"c__{i}" for i in range(1, k + 1)])
-    point = [MultiPoly.constant(all_params, 0)] * len(v.coords)
-    for copy in range(k + 1):
-        ren = {name: all_params.index(f"{name}__{copy}") for name in v.params}
-        scale = MultiPoly.variable(all_params, f"c__{copy}") if copy else 1
-        point = [x + embed_poly(c, all_params, ren) * scale for x, c in zip(point, v.coords)]
-    return all_params, tuple(point)
+def secant_ideal(v: VarietySampler, kmax):
+    """The degree-(k+2) slices of the ideals of the k-th secant varieties of
+    v, for k = 0..kmax, as a list: the standard prolongations of I_2(X)
+    (Landsberg-Manivel 2004; Sidman-Sullivant 2009).  ValueError when the
+    coordinates of X are linearly dependent, where the chain can miss part
+    of a slice.
+
+    Let f be homogeneous of degree d = k + 2 with symmetric form P, so that
+    f(sum_i c_i x_i) = sum_{|a|=d} (d!/a!) c^a P(x_0^a_0, ..., x_k^a_k) for
+    points x_0, ..., x_k of X, x_i in a_i slots.
+    - Every f of I_2(X)^(k) vanishes on the secant, for any X: d slots over
+      k + 1 points give some a_i >= 2, and that term is a multiple of an
+      order-k directional derivative of f, a quadric of I_2(X), at x_i.
+    - Every f that vanishes on the secant lies in I_2(X)^(k) when the
+      coordinates are independent: the coefficient of c_0^2 c_1 ... c_k,
+      P(x_0, x_0, x_1, ..., x_k), is multilinear in x_1, ..., x_k, which
+      span the space, so every order-k partial of f vanishes at x_0.
+    """
+    return _prolong_chain(v.quadrics, kmax)
 
 
 def secant_certificate(v: VarietySampler, k):
     """The exact test that polynomials over v.ambient vanish on the k-th
-    secant variety of v: each must substitute to the zero polynomial at the
-    symbolic secant point.  Fixing the first point's coefficient at 1 loses
-    nothing for homogeneous polynomials.  The point is built at the first
-    nonzero polynomial, since the zero polynomial vanishes everywhere."""
-    @functools.cache
-    def subs_map():
-        return dict(zip(v.ambient, _secant_parametrization(v, k)[1]))
-    return lambda polys: all(not p.subs(subs_map()).terms for p in polys if p.terms)
+    secant variety of v: every nonzero one must be homogeneous of degree
+    k + 2 with all order-k partials in I_2(X) (see secant_ideal), found by
+    k first-partial steps on the span of the polynomials.  ValueError when
+    the coordinates of X are linearly dependent."""
+    quadrics = v.quadrics
 
-
-# one prime per round of secant_ideal; each round samples twice the points
-SECANT_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1)
-
-
-def _residues(poly, p):
-    """poly's terms mod p; ValueError when p divides a denominator."""
-    return [(e, c.numerator * pow(c.denominator, -1, p)) for e, c in poly.terms.items()]
-
-
-def _evaluate(terms, values):
-    return sum(c * math.prod(x ** e for x, e in zip(values, exp) if e) for exp, c in terms)
-
-
-def _draw(rng, v, k):
-    """One integer point of the k-th secant: (scale, parameters) per copy."""
-    return [(rng.randint(-2 ** 31, 2 ** 31) if copy else 1,
-             [rng.randint(-2 ** 31, 2 ** 31) for _ in v.params]) for copy in range(k + 1)]
-
-
-def _cone_fills(v: VarietySampler, k, rng, p):
-    """Terracini's lemma: True when the Jacobian of (lambda, each copy's
-    parameters, c_1..c_k) -> lambda (gamma(p_0) + sum c_i gamma(p_i)) has
-    rank N mod p at one integer point with lambda = 1.  That rank bounds the
-    cone's dimension from below, so the cone then fills the space."""
-    try:
-        coords = [_residues(c, p) for c in v.coords]
-        partials = [[_residues(c.derivative(t), p) for c in v.coords] for t in v.params]
-    except ValueError:
-        return False
-    # the Jacobian's columns as rows: rank N iff they have no kernel
-    columns, point = [], [0] * len(coords)
-    for copy, (scale, params) in enumerate(_draw(rng, v, k)):
-        gamma = [_evaluate(t, params) for t in coords]
-        point = [x + scale * y for x, y in zip(point, gamma)]
-        columns += [gamma] if copy else []
-        columns += [[scale * _evaluate(t, params) for t in d] for d in partials]
-    return not kernel_mod(columns + [point], len(coords), p)
-
-
-def secant_ideal(v: VarietySampler, degree, k, seed=42):
-    """Degree slice of the ideal of the k-th secant variety.
-
-    Samples are integer points mod a prime and only the certificate is
-    symbolic, so the result is exact and the seed picks only the points.
-    A cone that fills the space has no ideal.  Otherwise each weight block
-    of monomials (the ideal of a torus-invariant variety is spanned by
-    weight-homogeneous polynomials) with no kernel mod p is {0}, and any
-    other kernel must lift by rational reconstruction to polynomials that
-    vanish at the symbolic secant point: independent, in the ideal and at
-    least dim ker over Q many, so they span the slice.  A block that fails
-    goes to the next round, with the next prime and twice the points.
-    """
-    rng = random.Random(seed)
-    if _cone_fills(v, k, rng, SECANT_PRIMES[0]):
-        return poly_space(degree, v.ambient, ())
-    coord_weights = [None]
-    if v.param_weights is not None:
-        coord_weights = [_weight(c.terms, v.param_weights) for c in v.coords]
-    split = None not in coord_weights
-    blocks = {}
-    for m in monomials_of_degree(len(v.coords), degree):
-        blocks.setdefault(_weight((m,), coord_weights) if split else None, []).append(m)
-    blocks = list(blocks.values())
-    draws = []
-    need = max(map(len, blocks), default=0) + 8
-    certify = secant_certificate(v, k)
-    polys = []
-    for p in SECANT_PRIMES:
-        draws += [_draw(rng, v, k) for _ in range(need - len(draws))]
-        need *= 2
-        try:
-            coords = [_residues(c, p) for c in v.coords]
-        except ValueError:   # p divides a denominator: the round fails
-            continue
-        points = [[sum(s * _evaluate(t, params) for s, params in draw) % p for t in coords]
-                  for draw in draws]
-        uncertified = []
-        for block in blocks:
-            kern = kernel_mod(([math.prod(x ** e for x, e in zip(pt, m) if e) for m in block]
-                               for pt in points), len(block), p)
-            lifted = [[rational_reconstruction(x, p) for x in vec] for vec in kern]
-            if any(None in vec for vec in lifted):
-                uncertified.append(block)
-                continue
-            found = [MultiPoly(v.ambient, dict(zip(block, vec))) for vec in lifted]
-            if not certify(found):
-                uncertified.append(block)
-                continue
-            polys += found
-        if not uncertified:
-            return poly_space(degree, v.ambient, polys)
-        blocks = uncertified
-    raise CertificationFailure(
-        f"secant ideal sampling did not stabilize after {len(SECANT_PRIMES)} rounds")
+    def certify(polys):
+        polys = [p for p in polys if p.terms]
+        if any(sum(e) != k + 2 for p in polys for e in p.terms):
+            return False
+        space = poly_space(k + 2, v.ambient, polys)
+        for degree in range(k + 1, 1, -1):
+            space = poly_space(degree, v.ambient,
+                               [f.derivative(y) for f in space.basis for y in v.ambient])
+        return all(map(quadrics.contains, space.basis))
+    return certify
 
 
 def hankel_minor_space(s, k, alpha=None):
@@ -495,7 +426,8 @@ def tangential_variety(sym, base: VarietySampler):
 
 def verify_prolongation_theorems(sym, k_max, seed=42):
     """Cross-check the graded layers against standard prolongations and the
-    secant-variety ideal slices; returns a JSON-friendly report."""
+    secant-variety ideal slices; returns a JSON-friendly report, which
+    echoes seed although nothing is sampled."""
     x = build_model_space(sym)
     fp = flag_prolong(x)
     dec = decompose_azp(x)
@@ -529,6 +461,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
     rows = [(_row_boxes(x, ci), shift_orbit_sampler(x, ci))
             for ci in range(len(sym.components))]
     tangential = tangential_variety(sym, rows[0][1])
+    t_chain = secant_ideal(tangential, k_max) if tangential is not None else None
     p_chain = standard_prolong(dec.p, k_max, x.sigma, variables=xvars)
     l_chain = standard_prolong(dec.l_of_x, k_max, x.sigma, variables=xvars)
     u_chain = tanaka_layer_polynomials(tp, k_max, variables=xvars) if tp is not None else None
@@ -546,7 +479,7 @@ def verify_prolongation_theorems(sym, k_max, seed=42):
         ideal_dim = None
         ideal_equal = None
         if tangential is not None:
-            ideal = secant_ideal(tangential, k + 2, k, seed=seed)
+            ideal = t_chain[k]
             ideal_dim = ideal.dim
             emb_pos = {f"y{p}": i for p, i in enumerate(rows[0][0])}
             embedded = poly_space(

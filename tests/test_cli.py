@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 from fractions import Fraction
@@ -322,8 +321,8 @@ def test_verify_default_kmax_finishes_where_sampling_stalled(capsys, monkeypatch
     assert data["passes"] == {"standard_equality": True, "tangential_secant": True,
                               "row_secant_inclusion": True}
     # the one-block reference takes over a minute here at k = 2
-    monkeypatch.setattr(polyprolong, "secant_ideal",
-                        functools.partial(reference_secant_ideal, split=True))
+    monkeypatch.setattr(polyprolong, "secant_ideal", lambda v, kmax: [
+        reference_secant_ideal(v, k + 2, k, split=True) for k in range(kmax + 1)])
     code, out, _ = run(capsys, "verify", "--spec", spec, "--kmax", "2", "--json")
     assert code == 0
     assert json.loads(out)["layers"] == data["layers"][:2]

@@ -19,7 +19,6 @@ from spflag.exact import (
     identity_matrix,
     is_zero_vector,
     kernel_basis,
-    kernel_mod,
     mat,
     mat_mul,
     mat_vec,
@@ -27,7 +26,6 @@ from spflag.exact import (
     pfaffian,
     primitive_row,
     rank,
-    rational_reconstruction,
     rref,
     skew_kernel,
     solve_linear,
@@ -100,61 +98,6 @@ def test_primitive_row_integer_and_rational_rows():
     got = primitive_row({1: Fraction(6), 2: 9})
     assert got == {1: 2, 2: 3} and all(type(x) is int for x in got.values())
     assert primitive_row([0, 0]) == {}
-
-
-# --- modular kernels and rational reconstruction ---------------------------
-
-def test_kernel_mod_is_the_rational_kernel_reduced_mod_p():
-    # every minor of these matrices is below 2^61 - 1 in size, so the rank
-    # mod p is the rank over Q and the kernels agree entry by entry
-    rng = random.Random(61)
-    p = 2 ** 61 - 1
-    for _ in range(60):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        if rng.random() < 0.5:
-            a.append([x - y for x, y in zip(a[0], a[-1])])
-        want = tuple(tuple(x.numerator * pow(x.denominator, -1, p) % p for x in v)
-                     for v in Echelon(n, a).kernel())
-        assert kernel_mod(a, n, p) == want
-
-
-def test_kernel_mod_where_p_divides_a_pivot():
-    # det [[2, 1], [1, 3]] = 5: full rank over Q, rank 1 mod 5
-    assert kernel_basis(mat([[2, 1], [1, 3]])) == ()
-    assert kernel_mod([[2, 1], [1, 3]], 2, 5) == ((2, 1),)
-    assert kernel_mod([[2, 1], [1, 3]], 2, 7) == ()
-
-
-def test_kernel_mod_stops_reading_rows_at_full_rank():
-    def rows():
-        yield [1, 0]
-        yield [3, 1]
-        raise AssertionError("read past full rank")
-
-    assert kernel_mod(rows(), 2, 101) == ()
-    assert kernel_mod([], 3, 101) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_rational_reconstruction_exhaustive_mod_101():
-    # |r| and s up to isqrt(101 // 2) = 7: each residue has at most one lift
-    p, bound = 101, 7
-    lifts = {}
-    for s in range(1, bound + 1):
-        for r in range(-bound, bound + 1):
-            if math.gcd(r, s) == 1:
-                assert lifts.setdefault(r * pow(s, -1, p) % p, Fraction(r, s)) == Fraction(r, s)
-    assert 0 < len(lifts) < p
-    for a in range(p):
-        assert rational_reconstruction(a, p) == lifts.get(a)
-
-
-def test_rational_reconstruction_round_trips_at_2_61():
-    p = 2 ** 61 - 1
-    rng = random.Random(1981)
-    for _ in range(200):
-        x = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
-        assert rational_reconstruction(x.numerator * pow(x.denominator, -1, p), p) == x
 
 
 def test_integer_rows_are_scaled_rref_rows():

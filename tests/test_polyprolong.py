@@ -845,6 +845,16 @@ def test_secant_ideal_cone_fills(text, j, k):
     assert repr(secant_ideal(var, k)[k].basis) == "()"
 
 
+def test_secant_ideal_lifts_a_nonzero_slice():
+    var = sampler("D(3,4)", 0)
+    want = reference_secant_ideal(var, 3, 1)
+    got = secant_ideal(var, 1)[1]
+    assert repr(got.basis) == repr(want.basis)
+    assert got.dim == 1
+    # the one cubic is nonzero, so the chords do not fill the space
+    assert jacobian_rank_over_q(var, 1) < len(var.coords)
+
+
 def test_secant_ideal_cone_does_not_fill():
     var = sampler("D(4,5)", 0)
     want = reference_secant_ideal(var, 3, 1)

@@ -676,7 +676,7 @@ def build_parser() -> _Parser:
     _add_common(p, kmax=True, seed=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("secant", help="secant ideal slices of the row curves")
+    p = sub.add_parser("secant", help="secant ideal slices of the first component's row curve")
     _add_common(p, kmax=True, seed=True)
     p.set_defaults(func=_cmd_secant)
 

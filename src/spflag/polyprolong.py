@@ -290,27 +290,26 @@ def secant_certificate(v: VarietySampler, k):
     return certify
 
 
-def hankel_minor_space(s, k, alpha=None):
-    """Span of the (k+2)-minors of the (alpha+1) x (s+2-alpha) Hankel matrix
-    in s+2 variables; all admissible alpha when none is given."""
-    alphas = [a for a in range(k + 1, s - k + 1)]
-    if alpha is not None:
-        if alpha not in alphas:
-            raise RangeError(f"no (k+2)-minors exist for alpha={alpha}, s={s}, k={k}")
-        alphas = [alpha]
-    if not alphas:
-        raise RangeError(f"no admissible alpha for s={s}, k={k}")
+def hankel_minor_space(s, k):
+    """Span of the C(s+1-k, k+2) maximal minors of the (k+2) x (s+1-k) Hankel
+    matrix in x1..x_{s+2}, entry x_{i+j+1} at (i, j); RangeError if s < 2k+1.
+
+    Every (k+2)-minor of every Hankel matrix vanishes on the k-th secant of
+    the moment curve, where the matrix has rank at most k+1, so the minors of
+    all of them span a subspace of the slice secant_ideal returns.  `secant`
+    checks on every run that this one matrix's span equals the slice; then
+    so does the span of all of them, and no report depends on the choice.
+    Soundness rests on that check; the theorem says it never fails
+    (Gruson-Peskine 1982; Eisenbud, "Linear sections of determinantal
+    varieties", 1988), and these minors are a basis (Eagon-Northcott)."""
+    size, ncols = k + 2, s + 1 - k
+    if ncols < size:
+        raise RangeError(f"no (k+2)-minors exist for s={s}, k={k}")
     variables = tuple(f"x{i}" for i in range(1, s + 3))
-    gens = [MultiPoly.variable(variables, name) for name in variables]
-    minors = []
-    size = k + 2
-    for a in alphas:
-        nrows, ncols = a + 1, s + 2 - a
-        minor = _minors([[gens[i + j] for j in range(ncols)] for i in range(nrows)])
-        for rsel in itertools.combinations(range(nrows), size):
-            minors.extend(minor(rsel, csel)
-                          for csel in itertools.combinations(range(ncols), size))
-    return poly_space(size, variables, minors)
+    minor = _minors([[MultiPoly.variable(variables, variables[i + j]) for j in range(ncols)]
+                     for i in range(size)])
+    return poly_space(size, variables, [minor(tuple(range(size)), cols)
+                                        for cols in itertools.combinations(range(ncols), size)])
 
 
 # ---------------------------------------------------------------------------

@@ -476,13 +476,14 @@ def _goh_checks(m, g, loc):
             else []
 
     if l % 2 or l == 2:
-        filt = derived_filtration(m)
-        dist = [alg.basis_vector(i) for i in m.distribution]
-        span = rref(dist + coeff_vecs)[0]
-        checks.append({
-            "name": "degeneracy locus is the second derived annihilator",
-            "holds": spans_equal(span, _locus_span_target(filt, 1)),
-        })
+        # the sub-pfaffians span the locus only while they are linear: l <= 3
+        holds = None
+        if l <= 3:
+            filt = derived_filtration(m)
+            dist = [alg.basis_vector(i) for i in m.distribution]
+            holds = spans_equal(rref(dist + coeff_vecs)[0], _locus_span_target(filt, 1))
+        checks.append({"name": "degeneracy locus is the second derived annihilator",
+                       "holds": holds})
     if l == 2:
         x1, x2 = (alg.basis_vector(i) for i in m.distribution)
         b12 = alg.bracket(x1, x2)
@@ -536,7 +537,7 @@ def _cmd_goh(args):
     for c in checks:
         lines.append(f"check {c['name']:<48} {_flag(c['holds'])}")
     _emit(args, report, lines)
-    return 0 if all(c["holds"] for c in checks) else 2
+    return 2 if any(c["holds"] is False for c in checks) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,13 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
     ad h, so l(X) is graded, and each irreducible summand of it is generated
     under ad f by its lowest vector, which lies in ker ad e.  ker ad e is
     ad h-stable, so its vectors of degree >= 0 generate only degrees >= 0.
+
+    r(u^F) = l + sl2, a is its row-diagonal part, z = a meets l, and p is the
+    off-row part of l.  e, h and f preserve every row, so the split of a matrix
+    into row-diagonal and off-row parts commutes with ad e, ad h and ad f and
+    keeps nonnegative-degree sp(X).  So a, z and p need no solve:
+    - ad-invariance gives l = l_diag (+) l_off, hence a = l_diag + sl2;
+    - by the modular law, (l_diag + sl2) meets l in l_diag + (sl2 meets l_diag) = l_diag.
     """
     n = x.dim
     e, h, f = _sl2(x)
@@ -322,25 +329,19 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
         generated += string
         string = [m for m in (_bracket(f, m) for m in string) if m]
 
-    def off_rows(m):
-        return {p: c for p, c in m.items() if x.row_index[p[0]] != x.row_index[p[1]]}
+    def part(m, diagonal):
+        return {p: c for p, c in m.items()
+                if (x.row_index[p[0]] == x.row_index[p[1]]) == diagonal}
 
-    l_basis = _span_reduce(generated, n)
-    r_basis = _span_reduce(generated + [e, h, f], n)
-    # a: elements of r(u^F) preserving every row subspace; z: a meets l(X);
-    # p: the off-row-block projection of l(X)
-    a_basis = _span_reduce(_preimage(r_basis, off_rows, [], primitive=True), n)
-    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis, primitive=True), n)
-    p_basis = _span_reduce([off_rows(m) for m in generated], n)
-
+    z_basis = _span_reduce([part(m, True) for m in generated], n)
     return AZPDecomposition(
         space=x,
-        sl2=Sl2Triple(x.shift, _dense(h, n), _dense(f, n)),
-        l_of_x=_subspace(l_basis, n),
-        r_of_uf=_subspace(r_basis, n),
-        a=_subspace(a_basis, n),
+        sl2=sl2_triple(x),
+        l_of_x=_subspace(_span_reduce(generated, n), n),
+        r_of_uf=_subspace(_span_reduce(generated + [e, h, f], n), n),
+        a=_subspace(_span_reduce(z_basis + [e, h, f], n), n),
         z=_subspace(z_basis, n),
-        p=_subspace(p_basis, n),
+        p=_subspace(_span_reduce([part(m, False) for m in generated], n), n),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapReached, JacobiViolation
-from .exact import kernel_basis, rref, vec
+from .exact import Echelon, kernel_basis, vec
 from .liealg import GradedLieAlgebra, HeisenbergModel, algebra_from_entries
 
 
@@ -184,13 +184,12 @@ def prolong(heis: HeisenbergModel, g0, kmax=6) -> TanakaProlongation:
 
 def _locator(vectors):
     """Echelon form of sparse vectors, computed once: (pivot key, coordinate
-    row) pairs such that v = sum_s c_s vectors[s] has c = sum v[key] * row."""
-    keys = sorted(set().union(*vectors))
-    d = len(vectors)
-    rows = [tuple(v.get(key, 0) for key in keys) + tuple(int(s == t) for t in range(d))
-            for s, v in enumerate(vectors)]
-    echelon, pivots = rref(rows)
-    return tuple((keys[p], row[len(keys):]) for row, p in zip(echelon, pivots) if p < len(keys))
+    row {s: c}) pairs such that v = sum_s c_s vectors[s] has c = sum v[key] * row.
+    One sparse echelon of the rows v_s | e_s, keys tagged 0 and indices s 1."""
+    echelon = Echelon(None, ({(0, key): c for key, c in v.items()} | {(1, s): 1}
+                             for s, v in enumerate(vectors)))
+    return tuple((min(row)[1], {s: c for (tag, s), c in row.items() if tag})
+                 for row in echelon.reduced_rows() if not min(row)[0])
 
 
 def assemble_algebra(tp: TanakaProlongation) -> GradedLieAlgebra:
@@ -250,9 +249,8 @@ def assemble_algebra(tp: TanakaProlongation) -> GradedLieAlgebra:
         for key, row in locators[k] if k < len(layers) else ():
             c = act.get(key)
             if c:
-                for s, r in enumerate(row):
-                    if r:
-                        coords[s] = coords.get(s, 0) + c * r
+                for s, r in row.items():
+                    coords[s] = coords.get(s, 0) + c * r
         rebuilt = {}
         for s, c in coords.items():
             for key, r in action[offsets[k] + s].items():

@@ -388,6 +388,21 @@ def test_goh_checks_pass(capsys):
         assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("spec", ["D(2,3)+D(1,2)", "2*D(0,0)"])
+def test_goh_locus_check_skips_at_odd_rank_five(capsys, spec):
+    # the sub-pfaffians are quadrics at rank 5, so the linear locus check
+    # does not apply: SKIP, and exit 0 since no check fails
+    code, out, _ = run(capsys, "goh", "--spec", spec, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["rank"] == 5
+    locus = [c for c in report["checks"] if c["name"].startswith("degeneracy locus")]
+    assert [c["holds"] for c in locus] == [None]
+    code, out, _ = run(capsys, "goh", "--spec", spec)
+    assert code == 0
+    assert "SKIP" in out and "FAIL" not in out
+
+
 def test_goh_json_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -271,7 +271,12 @@ def test_decompose_dimensions(text, l, z, p):
     assert dec.p.dim == p
 
 
-@pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)+D(1,0)", "2*D(1,0)", "D(3/2,2)"])
+# many rows, several components of one kind and a one-row component
+SPLIT_SAMPLES = ["D(3/2,3)+3*D(1/2,1)", "3*D(1/2,1)+R(7/2)", "D(7/2,4)+D(2,3)+R(1/2)"]
+
+
+@pytest.mark.parametrize(
+    "text", ["D(1,2)", "D(2,3)+D(1,0)", "2*D(1,0)", "D(3/2,2)"] + SPLIT_SAMPLES)
 def test_z_is_row_scaling_span(text):
     x = space(text)
     dec = decomposition(text)
@@ -282,7 +287,8 @@ def test_z_is_row_scaling_span(text):
     )
 
 
-@pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)", "R(5/2)", "D(2,0)", "D(1,2)+R(3/2)"])
+@pytest.mark.parametrize(
+    "text", ["D(1,2)", "D(2,3)", "R(5/2)", "D(2,0)", "D(1,2)+R(3/2)"] + SPLIT_SAMPLES)
 def test_a_splits_into_z_and_sl2(text):
     dec = decomposition(text)
     sl2_part = [m for m in (dec.sl2.e, dec.sl2.h, dec.sl2.f) if not is_zero_matrix(m)]
@@ -294,7 +300,8 @@ def test_a_splits_into_z_and_sl2(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["D(1,2)", "D(2,3)", "D(2,0)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"]
+    "text",
+    ["D(1,2)", "D(2,3)", "D(2,0)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"] + SPLIT_SAMPLES,
 )
 def test_l_splits_into_z_and_p(text):
     dec = decomposition(text)
@@ -303,6 +310,21 @@ def test_l_splits_into_z_and_p(text):
         [flatten_matrix(m) for m in dec.l_of_x.basis],
         [flatten_matrix(m) for m in list(dec.z.basis) + list(dec.p.basis)],
     )
+
+
+@pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"])
+def test_decompose_azp_solves_only_for_lowest_weight_vectors(monkeypatch, text):
+    # a, z and p are read off the row-block split of l(X); the only solves
+    # are the lowest-weight vectors, one per admissible degree
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _preimage(*args, **kwargs)
+
+    monkeypatch.setattr("spflag.flagprolong._preimage", counted)
+    decompose_azp(space(text))
+    assert len(calls) == len(_admissible_degrees(space(text)))
 
 
 SL2_SAMPLES = ["D(1,2)", "D(2,3)", "D(3,4)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"]

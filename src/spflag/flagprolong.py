@@ -3,10 +3,10 @@
 All computations are graded: degree-k matrices only populate entries that
 raise the box weight by k, so every kernel stays small.  Matrices are sparse
 {(i, j): c} dicts inside the module, integer wherever only a span is kept.
-Graded sp(X) and the sl2 triple are read off the model in closed form.  The
-flag layers, and the lowest-weight vectors that generate l(X) under ad f,
-are solved by one helper, _preimage, on sparse rows.  Dense Fraction tuples
-appear only in what is returned.
+Graded sp(X), the sl2 triple and the lowest-weight vectors that generate
+l(X) under ad f are read off the model in closed form.  The flag layers are
+solved by one helper, _preimage, on sparse rows.  Dense Fraction tuples
+appear only in what is returned, and only when a basis is read.
 Dimensions come out exact; the closed-form predictors never touch linear
 algebra.
 """
@@ -43,12 +43,22 @@ def flatten_matrix(m):
 
 @dataclass(frozen=True)
 class MatrixSubspace:
+    """The span of basis, a tuple of dense matrices.  One built by _subspace
+    keeps its sparse matrices and writes basis out on first read."""
     shape: tuple
     basis: tuple
 
     @property
     def dim(self):
-        return len(self.basis)
+        sparse = self.__dict__.get("_sparse")
+        return len(self.basis if sparse is None else sparse)
+
+    def __getattr__(self, name):
+        # reached only for the basis of a _subspace, before its first read
+        if name != "basis":
+            raise AttributeError(name)
+        object.__setattr__(self, name, tuple(_dense(m, self.shape[0]) for m in self._sparse))
+        return self.basis
 
     @cached_property
     def _span(self):
@@ -88,37 +98,35 @@ def _dense(m, n):
 
 
 def _subspace(basis, n):
-    return MatrixSubspace((n, n), tuple(_dense(m, n) for m in basis))
+    sub = object.__new__(MatrixSubspace)
+    sub.__dict__.update(shape=(n, n), _sparse=basis)
+    return sub
 
 
-def _mul(a, b):
-    b_rows = {}
-    for (t, j), y in b.items():
-        b_rows.setdefault(t, []).append((j, y))
+def _ad(a, m):
+    """The commutator [a, m], without zero entries, for a with at most one
+    nonzero per row and per column, as e, h and f have: each nonzero of m
+    is relabelled once from each side."""
+    in_column = {j: (i, c) for (i, j), c in a.items()}
+    in_row = {i: (j, c) for (i, j), c in a.items()}
     out = {}
-    for (i, t), x in a.items():
-        for j, y in b_rows.get(t, ()):
-            out[i, j] = out.get((i, j), 0) + x * y
-    return out
-
-
-def _bracket(a, b):
-    """The commutator ab - ba, without zero entries."""
-    out = _mul(a, b)
-    for key, y in _mul(b, a).items():
-        out[key] = out.get(key, 0) - y
+    for (i, j), y in m.items():
+        if i in in_column:
+            r, c = in_column[i]
+            out[r, j] = out.get((r, j), 0) + c * y
+        if j in in_row:
+            t, c = in_row[j]
+            out[i, t] = out.get((i, t), 0) - c * y
     return {key: c for key, c in out.items() if c}
 
 
-def _preimage(family, image, targets, primitive=False):
+def _preimage(family, image, targets):
     """The nonzero combinations of family whose image lies in span(targets).
 
     One sparse row per matrix position met by an image or a target; the
     unknowns are the family coefficients, then the target coefficients.
     Returns one combination per kernel vector of that system, so the result
-    is canonical for the family, its order and the targets' span.  With
-    primitive, each kernel vector is scaled to a primitive integer vector
-    first, so that an integer family gives integer combinations: same span.
+    is canonical for the family, its order and the targets' span.
     """
     if not family:
         return []
@@ -129,9 +137,8 @@ def _preimage(family, image, targets, primitive=False):
             rows.setdefault(p, {})[j] = c
     out = []
     for v in Echelon(len(columns), rows.values()).kernel():
-        v = v[:len(family)]
         combo = {}
-        for j, c in primitive_row(v).items() if primitive else enumerate(v):
+        for j, c in enumerate(v[:len(family)]):
             if c:
                 for p, y in family[j].items():
                     combo[p] = combo.get(p, 0) + c * y
@@ -147,6 +154,16 @@ def _span_reduce(mats, n):
     return Echelon(n * n, mats).reduced_rows()
 
 
+def _pairing(x):
+    """pi and s with sigma[a][pi(a)] = s_a, the one nonzero of each row."""
+    pi, s = {}, {}
+    for a, row in enumerate(x.sigma):
+        for b, c in enumerate(row):
+            if c:
+                pi[a], s[a] = b, int(c)
+    return pi, s
+
+
 def _graded_bases(x, degrees, conformal=False):
     """Sparse integer bases of the degree-k parts of sp(X), or of csp(X), for
     each k in degrees, read off the pairing.  It needs sigma to have one
@@ -157,11 +174,7 @@ def _graded_bases(x, degrees, conformal=False):
     later position q with the mate first, and the scaling element last: the
     canonical kernel basis of the defining equations, with the positions as
     columns in order.  Pairing and weights are read once for all degrees."""
-    pi, s = {}, {}
-    for a, row in enumerate(x.sigma):
-        for b, c in enumerate(row):
-            if c:
-                pi[a], s[a] = b, int(c)
+    pi, s = _pairing(x)
     twice = _twice_weights(x)
     at_weight = {}
     for j, w in enumerate(twice):
@@ -271,12 +284,13 @@ def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     """
     n = x.dim
     shift, _, _ = _sl2(x)
+    minus_shift = {p: -c for p, c in shift.items()}
     degrees = [d for d in _admissible_degrees(x) if k_max is None or d <= frac(k_max)]
     bases = _graded_bases(x, degrees, conformal=True)
     found = {}
     for k in degrees:
         prev = found[k - 1] if k >= 1 else [shift] if k == 0 and shift else []
-        found[k] = _preimage(bases[k], lambda a: _bracket(a, shift), prev)
+        found[k] = _preimage(bases[k], lambda a: _ad(minus_shift, a), prev)
     layers = {k: _subspace(found[k], n) for k in degrees}
     delta_dim = 1 if shift else 0
     total = delta_dim + sum(layers[d].dim for d in degrees)
@@ -298,10 +312,39 @@ class AZPDecomposition:
 
 
 def _lowest_weight_vectors(x, e):
-    """ker(ad e) in sp(X)_k for each admissible degree k >= 0, as primitive
-    integer matrices: one _preimage per degree, with no targets."""
-    return [m for basis in _graded_bases(x, _admissible_degrees(x)).values()
-            for m in _preimage(basis, lambda m: _bracket(e, m), [], primitive=True)]
+    """Primitive integer matrices spanning ker(ad e) in sp(X)_d for d >= 0,
+    in closed form.  e is the shift; its Jordan chains are the rows, top
+    weight first.  For chains P, Q and max(0, |P| - |Q|) <= k < |P|, the map
+    T = sum_t E[P[k + t], Q[t]] commutes with e: Te and eT can differ only
+    at the last box of Q, sent to 0 by Te and to P[k + |Q|], past the end
+    of P, by eT.  These maps span ker ad e in gl(X) (Gantmacher, ch. VIII),
+    and T has degree w(P[k]) - w(Q[0]).  The involution
+    theta(A) = -sigma^-1 A^T sigma of gl(X) fixes e, keeps degrees and has
+    sp(X) as its fixed points, so A -> A + theta(A) maps ker ad e onto ker
+    ad e in sp(X), degree by degree (it doubles the latter).
+    theta(E[i, j]) = -s_i s_j E[pi(j), pi(i)] in the pairing of _graded_bases,
+    and theta(T) is +-1 times another T, so an image is fixed up to sign by
+    its support, and is kept once."""
+    down = {j: i for i, j in e}
+    chains = [[i] for i in sorted(set(range(x.dim)) - set(down.values()))]
+    for chain in chains:
+        while chain[-1] in down:
+            chain.append(down[chain[-1]])
+    pi, s = _pairing(x)
+    twice = _twice_weights(x)
+    out = {}
+    for top in chains:
+        for low in chains:
+            for k in range(max(0, len(top) - len(low)), len(top)):
+                if twice[top[k]] >= twice[low[0]]:
+                    m = {}
+                    for i, j in zip(top[k:], low):
+                        m[i, j] = m.get((i, j), 0) + 1
+                        m[pi[j], pi[i]] = m.get((pi[j], pi[i]), 0) - s[i] * s[j]
+                    m = primitive_row(m)
+                    if m:
+                        out.setdefault(frozenset(m), m)
+    return list(out.values())
 
 
 def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
@@ -321,27 +364,30 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
     keeps nonnegative-degree sp(X).  So a, z and p need no solve:
     - ad-invariance gives l = l_diag (+) l_off, hence a = l_diag + sl2;
     - by the modular law, (l_diag + sl2) meets l in l_diag + (sl2 meets l_diag) = l_diag.
+    A projection of a span spans the projections, so z and p come from the
+    reduced rows of l; in r and a those rows go first, with no elimination.
     """
     n = x.dim
     e, h, f = _sl2(x)
     generated, string = [], _lowest_weight_vectors(x, e)
     while string:
         generated += string
-        string = [m for m in (_bracket(f, m) for m in string) if m]
+        string = [m for m in (_ad(f, m) for m in string) if m]
+    l_basis = _span_reduce(generated, n)
 
     def part(m, diagonal):
         return {p: c for p, c in m.items()
                 if (x.row_index[p[0]] == x.row_index[p[1]]) == diagonal}
 
-    z_basis = _span_reduce([part(m, True) for m in generated], n)
+    z_basis = _span_reduce([part(m, True) for m in l_basis], n)
     return AZPDecomposition(
         space=x,
-        sl2=sl2_triple(x),
-        l_of_x=_subspace(_span_reduce(generated, n), n),
-        r_of_uf=_subspace(_span_reduce(generated + [e, h, f], n), n),
+        sl2=Sl2Triple(x.shift, _dense(h, n), _dense(f, n)),
+        l_of_x=_subspace(l_basis, n),
+        r_of_uf=_subspace(_span_reduce(l_basis + [e, h, f], n), n),
         a=_subspace(_span_reduce(z_basis + [e, h, f], n), n),
         z=_subspace(z_basis, n),
-        p=_subspace(_span_reduce([part(m, False) for m in generated], n), n),
+        p=_subspace(_span_reduce([part(m, False) for m in l_basis], n), n),
     )
 
 

@@ -22,8 +22,8 @@ from spflag.exact import (
 )
 from spflag.flagprolong import (
     MatrixSubspace,
+    _ad,
     _admissible_degrees,
-    _bracket,
     _dense,
     _graded_bases,
     _lowest_weight_vectors,
@@ -63,6 +63,35 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _mul(a, b):
+    b_rows = {}
+    for (t, j), y in b.items():
+        b_rows.setdefault(t, []).append((j, y))
+    out = {}
+    for (i, t), x in a.items():
+        for j, y in b_rows.get(t, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return out
+
+
+def _bracket(a, b):
+    """The commutator ab - ba of sparse matrices, without zero entries: the
+    generic product that _ad specialises."""
+    out = _mul(a, b)
+    for key, y in _mul(b, a).items():
+        out[key] = out.get(key, 0) - y
+    return {key: c for key, c in out.items() if c}
+
+
+def _is_symplectic(x, m):
+    """A^T sigma + sigma A = 0 for a sparse matrix A."""
+    sigma = {(i, j): c for i, row in enumerate(x.sigma) for j, c in enumerate(row) if c}
+    defect = _mul({(j, i): c for (i, j), c in m.items()}, sigma)
+    for key, y in _mul(sigma, m).items():
+        defect[key] = defect.get(key, 0) + y
+    return not any(defect.values())
+
+
 def test_matrix_subspace_contains_and_equals():
     m1 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
     m2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -73,6 +102,26 @@ def test_matrix_subspace_contains_and_equals():
     other = MatrixSubspace((2, 2), (mat_add(m1, m2), mat_sub(m1, m2)))
     assert sub.equals(other)
     assert MatrixSubspace((2, 2), ()).contains(((Fraction(0),) * 2,) * 2)
+
+
+@pytest.mark.parametrize("text", ["D(2,3)", "D(1,2)+R(3/2)", "R(3/2)"])
+def test_sparse_built_subspace_matches_dense_built(text):
+    # _subspace keeps sparse matrices and densifies on first read; it must
+    # be indistinguishable from the dense constructor
+    x = space(text)
+    n = x.dim
+    for mats in (_span_reduce(_lowest_weight_vectors(x, _sl2(x)[0]), n), []):
+        dense = MatrixSubspace((n, n), tuple(_dense(m, n) for m in mats))
+        lazy = _subspace(mats, n)
+        assert lazy.dim == dense.dim == len(mats)
+        assert "basis" not in vars(lazy)          # dim does not densify
+        assert repr(lazy) == repr(dense)
+        assert lazy.basis == dense.basis
+        assert lazy == dense and dense == lazy and hash(lazy) == hash(dense)
+        assert lazy.equals(dense) and dense.equals(lazy)
+        probes = list(dense.basis) + [x.shift, identity_matrix(n)]
+        assert [lazy.contains(m) for m in probes] == [dense.contains(m) for m in probes]
+    assert _subspace([], 2) != MatrixSubspace((2, 2), (identity_matrix(2),))
 
 
 def test_graded_basis_degree_zero():
@@ -313,18 +362,20 @@ def test_l_splits_into_z_and_p(text):
 
 
 @pytest.mark.parametrize("text", ["D(1,2)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"])
-def test_decompose_azp_solves_only_for_lowest_weight_vectors(monkeypatch, text):
-    # a, z and p are read off the row-block split of l(X); the only solves
-    # are the lowest-weight vectors, one per admissible degree
+def test_decompose_azp_calls_no_preimage_or_graded_bases(monkeypatch, text):
+    # the lowest-weight vectors are read off the Jordan chains of the shift
+    # and a, z and p off the row-block split of l(X): nothing is solved for
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return _preimage(*args, **kwargs)
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+        return call
 
-    monkeypatch.setattr("spflag.flagprolong._preimage", counted)
+    for name in ("_preimage", "_graded_bases"):
+        monkeypatch.setattr(f"spflag.flagprolong.{name}", counted(name))
     decompose_azp(space(text))
-    assert len(calls) == len(_admissible_degrees(space(text)))
+    assert calls == []
 
 
 SL2_SAMPLES = ["D(1,2)", "D(2,3)", "D(3,4)", "D(2,3)+D(1,0)", "D(1,2)+R(3/2)", "D(5/2,1)"]
@@ -348,16 +399,51 @@ def test_l_is_sl2_invariant_degree_by_degree(text):
             assert dec.l_of_x.contains(image)
 
 
-@pytest.mark.parametrize("text", SL2_SAMPLES + ["D(2,0)", "D(1,1)"])
+@pytest.mark.parametrize("text", SL2_SAMPLES + SPLIT_SAMPLES + ["D(2,0)", "D(1,1)", "D(0,0)"])
 def test_lowest_weight_vectors_are_killed_by_e(text):
     x = space(text)
     vectors = _lowest_weight_vectors(x, _sl2(x)[0])
     assert vectors
     for m in vectors:
         assert all(type(c) is int for c in m.values())
-        dense = _dense(m, x.dim)
-        assert min(_degrees(x, dense)) >= 0
-        assert is_zero_matrix(commutator(x.shift, dense))
+        assert min(x.weights[i] - x.weights[j] for i, j in m) >= 0
+        assert _bracket(_sl2(x)[0], m) == {}
+        assert _is_symplectic(x, m)
+
+
+def _solved_lowest_weight_vectors(x, e):
+    """Reference for _lowest_weight_vectors: ker(ad e) in sp(X)_k solved for
+    in each admissible degree k >= 0, with the generic bracket."""
+    return [m for basis in _graded_bases(x, _admissible_degrees(x)).values()
+            for m in _preimage(basis, lambda m: _bracket(e, m), [])]
+
+
+def test_lowest_weight_vectors_match_per_degree_solve():
+    # the Jordan-chain construction against one kernel solve per degree, on
+    # every acceptance-06 symbol
+    for name, sym in formula_universe().items():
+        x = build_model_space(sym)
+        e = _sl2(x)[0]
+        assert _span_reduce(_lowest_weight_vectors(x, e), x.dim) == _span_reduce(
+            _solved_lowest_weight_vectors(x, e), x.dim), name
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES + SPLIT_SAMPLES)
+def test_ad_matches_generic_bracket(text):
+    # e, h and f have one nonzero per row and column, so a relabelling of the
+    # other side's nonzeros gives the bracket, on both sides
+    x = space(text)
+    degrees = _admissible_degrees(x)
+    bases = _graded_bases(x, sorted({-k for k in degrees} | set(degrees)), conformal=True)
+    for a in _sl2(x):
+        for m in (m for basis in bases.values() for m in basis):
+            assert _ad(a, m) == _bracket(a, m)
+            assert _ad({p: -c for p, c in a.items()}, m) == _bracket(m, a)
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES)
+def test_decompose_azp_reuses_the_sl2_triple(text):
+    assert decomposition(text).sl2 == sl2_triple(space(text))
 
 
 def _fixpoint_l_of_x(x):

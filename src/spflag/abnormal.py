@@ -312,20 +312,18 @@ def _sparse_columns(a):
 def flat_curve(x: GradedSymplecticSpace) -> FlagCurve:
     """Orbit of the weight filtration under the shift flow: one block per
     filtration index of columns of e^{tS} = sum t^k S^k / k!, a polynomial
-    because the shift S is nilpotent."""
+    because the shift S is nilpotent.  S^k sends box j to the k-th box
+    below it on its chain, so column j has 1/k! there at t^k."""
     n = x.dim
-    shift = _sparse_columns(x.shift)
-    cols = []
-    for j in range(n):
-        coeffs = [tuple(ONE if i == j else ZERO for i in range(n))]
-        while any(coeffs[-1]):
-            coeffs.append(tuple(e / len(coeffs) for e in _apply(shift, coeffs[-1])))
-        cols.append(tuple(coeffs[:-1]))
+    zero = (ZERO,) * n
+    cols = [None] * n
+    for chain in x.chains:
+        for p, j in enumerate(chain):
+            cols[j] = tuple(zero[:i] + (Fraction(1, math.factorial(k)),) + zero[i + 1:]
+                            for k, i in enumerate(chain[p:]))
     weights = sorted(set(x.weights), reverse=True)
     blocks = tuple(tuple(cols[j] for j in range(n) if x.weights[j] >= w) for w in weights)
-    has_int = any(w.denominator == 1 for w in x.weights)
-    has_half = any(w.denominator == 2 for w in x.weights)
-    case = "even" if (has_int and has_half) else ("two" if has_half else "odd")
+    case = rank_parity_of(x.symbol)
     base = HALF if case == "two" else ZERO
     return FlagCurve(tuple(weights), blocks, x.sigma, case, base)
 

@@ -154,27 +154,17 @@ def _span_reduce(mats, n):
     return Echelon(n * n, mats).reduced_rows()
 
 
-def _pairing(x):
-    """pi and s with sigma[a][pi(a)] = s_a, the one nonzero of each row."""
-    pi, s = {}, {}
-    for a, row in enumerate(x.sigma):
-        for b, c in enumerate(row):
-            if c:
-                pi[a], s[a] = b, int(c)
-    return pi, s
-
-
 def _graded_bases(x, degrees, conformal=False):
     """Sparse integer bases of the degree-k parts of sp(X), or of csp(X), for
-    each k in degrees, read off the pairing.  It needs sigma to have one
-    nonzero per row: sigma[a][pi(a)] = s_a with pi an involution pairing
-    weight w with -w.  Then A is in sp(X) iff A[pi(b), pi(a)] = -s_a s_b
-    A[a, b], which ties each degree-k position to one mate of the same
-    degree; a position with b = pi(a) is free.  One element per pair, at its
-    later position q with the mate first, and the scaling element last: the
-    canonical kernel basis of the defining equations, with the positions as
-    columns in order.  Pairing and weights are read once for all degrees."""
-    pi, s = _pairing(x)
+    each k in degrees, read off x.pairing: sigma[a][pi(a)] = s_a is the one
+    nonzero of row a, with pi an involution pairing weight w with -w.  Then
+    A is in sp(X) iff A[pi(b), pi(a)] = -s_a s_b A[a, b], which ties each
+    degree-k position to one mate of the same degree; a position with
+    b = pi(a) is free.  One element per pair, at its later position q with
+    the mate first, and the scaling element last: the canonical kernel basis
+    of the defining equations, with the positions as columns in order.
+    Pairing and weights are read once for all degrees."""
+    pi, s = zip(*x.pairing)
     twice = _twice_weights(x)
     at_weight = {}
     for j, w in enumerate(twice):
@@ -219,25 +209,29 @@ class Sl2Triple:
     f: tuple
 
 
+def _shift(x):
+    """The shift as a sparse integer matrix: each box to the next one down
+    its chain."""
+    return {(a, up): 1 for chain in x.chains for up, a in zip(chain, chain[1:])}
+
+
 def _sl2(x):
-    """e, h, f as sparse integer matrices: e is the shift, and on a row with
+    """e, h, f as sparse integer matrices: e is the shift, and on a chain with
     bottom r and top q the h-eigenvalue at weight w is 2w - (r + q) and the
     raising coefficient from weight w is (w - r + 1)(w - q).  These are the
     unique choices making [e,f] = h, [h,e] = -2e, [h,f] = 2f hold with e the
     shift.  Weights are doubled to stay integers."""
     twice = _twice_weights(x)
-    ends = [(int(2 * r.bottom), int(2 * r.top)) for r in rows_of(x.symbol)]
-    index_at = {(ri, w): i for i, (ri, w) in enumerate(zip(x.row_index, twice))}
-    e, h, f = {}, {}, {}
-    for i, (ri, w) in enumerate(zip(x.row_index, twice)):
-        r, q = ends[ri]
-        if 2 * w != r + q:
-            h[i, i] = w - (r + q) // 2
-        up = index_at.get((ri, w + 2))
-        if up is not None:
-            e[i, up] = 1
-            f[up, i] = ((w - r) // 2 + 1) * ((w - q) // 2)
-    return e, h, f
+    h, f = {}, {}
+    for chain in x.chains:
+        q, r = twice[chain[0]], twice[chain[-1]]
+        for a in chain:
+            if 2 * twice[a] != r + q:
+                h[a, a] = twice[a] - (r + q) // 2
+        for up, a in zip(chain, chain[1:]):
+            w = twice[a]
+            f[up, a] = ((w - r) // 2 + 1) * ((w - q) // 2)
+    return _shift(x), h, f
 
 
 def sl2_triple(x: GradedSymplecticSpace) -> Sl2Triple:
@@ -283,7 +277,7 @@ def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     weight spread (or k_max) are computed; there is no early termination.
     """
     n = x.dim
-    shift, _, _ = _sl2(x)
+    shift = _shift(x)
     minus_shift = {p: -c for p, c in shift.items()}
     degrees = [d for d in _admissible_degrees(x) if k_max is None or d <= frac(k_max)]
     bases = _graded_bases(x, degrees, conformal=True)
@@ -311,30 +305,26 @@ class AZPDecomposition:
     p: MatrixSubspace
 
 
-def _lowest_weight_vectors(x, e):
+def _lowest_weight_vectors(x):
     """Primitive integer matrices spanning ker(ad e) in sp(X)_d for d >= 0,
-    in closed form.  e is the shift; its Jordan chains are the rows, top
-    weight first.  For chains P, Q and max(0, |P| - |Q|) <= k < |P|, the map
-    T = sum_t E[P[k + t], Q[t]] commutes with e: Te and eT can differ only
-    at the last box of Q, sent to 0 by Te and to P[k + |Q|], past the end
-    of P, by eT.  These maps span ker ad e in gl(X) (Gantmacher, ch. VIII),
-    and T has degree w(P[k]) - w(Q[0]).  The involution
-    theta(A) = -sigma^-1 A^T sigma of gl(X) fixes e, keeps degrees and has
-    sp(X) as its fixed points, so A -> A + theta(A) maps ker ad e onto ker
-    ad e in sp(X), degree by degree (it doubles the latter).
-    theta(E[i, j]) = -s_i s_j E[pi(j), pi(i)] in the pairing of _graded_bases,
-    and theta(T) is +-1 times another T, so an image is fixed up to sign by
-    its support, and is kept once."""
-    down = {j: i for i, j in e}
-    chains = [[i] for i in sorted(set(range(x.dim)) - set(down.values()))]
-    for chain in chains:
-        while chain[-1] in down:
-            chain.append(down[chain[-1]])
-    pi, s = _pairing(x)
+    in closed form.  e is the shift; its Jordan chains are x.chains, the
+    rows top weight first.  For chains P, Q and
+    max(0, |P| - |Q|) <= k < |P|, the map T = sum_t E[P[k + t], Q[t]]
+    commutes with e: Te and eT can differ only at the last box of Q, sent
+    to 0 by Te and to P[k + |Q|], past the end of P, by eT.  These maps
+    span ker ad e in gl(X) (Gantmacher, ch. VIII), and T has degree
+    w(P[k]) - w(Q[0]).  The involution theta(A) = -sigma^-1 A^T sigma of
+    gl(X) fixes e, keeps degrees and has sp(X) as its fixed points, so
+    A -> A + theta(A) maps ker ad e onto ker ad e in sp(X), degree by
+    degree (it doubles the latter).  theta(E[i, j]) = -s_i s_j
+    E[pi(j), pi(i)] in the pairing of _graded_bases, and theta(T) is +-1
+    times another T, so an image is fixed up to sign by its support, and is
+    kept once."""
+    pi, s = zip(*x.pairing)
     twice = _twice_weights(x)
     out = {}
-    for top in chains:
-        for low in chains:
+    for top in x.chains:
+        for low in x.chains:
             for k in range(max(0, len(top) - len(low)), len(top)):
                 if twice[top[k]] >= twice[low[0]]:
                     m = {}
@@ -369,7 +359,7 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
     """
     n = x.dim
     e, h, f = _sl2(x)
-    generated, string = [], _lowest_weight_vectors(x, e)
+    generated, string = [], _lowest_weight_vectors(x)
     while string:
         generated += string
         string = [m for m in (_ad(f, m) for m in string) if m]

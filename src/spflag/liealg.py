@@ -18,7 +18,6 @@ from .symbols import (
     FlagSymbol,
     GradedSymplecticSpace,
     OneRow,
-    TwoRow,
     build_model_space,
     make_symbol,
     rows_of,
@@ -121,11 +120,7 @@ def heisenberg_from_space(x: GradedSymplecticSpace) -> HeisenbergModel:
     n = x.dim
     labels = x.labels + ("z",)
     degrees2 = (-2,) * n + (-4,)
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x.sigma[i][j] != 0:
-                entries[(i, j)] = {n: x.sigma[i][j]}
+    entries = {(a, b): {n: s} for a, (b, s) in enumerate(x.pairing) if a < b}
     return HeisenbergModel(algebra_from_entries(labels, degrees2, entries), x, n)
 
 
@@ -163,7 +158,6 @@ def flat_model(sym: FlagSymbol) -> FlatModel:
     and [v_{1/2}, v_{-1/2}] = z on a centered row.
     """
     space = build_model_space(sym)
-    rows = rows_of(sym)
     kept = [i for i, w in enumerate(space.weights) if w <= HALF]
     pos_of = {model_i: 1 + k for k, model_i in enumerate(kept)}
     nb = len(kept)
@@ -172,37 +166,17 @@ def flat_model(sym: FlagSymbol) -> FlatModel:
     z_pos = nb + 1
     entries = {}
 
-    box_at = {}  # (row id, weight) -> kept model index
-    for model_i in kept:
-        box_at[(space.row_index[model_i], space.weights[model_i])] = model_i
+    for chain in space.chains:
+        for up, a in zip(chain, chain[1:]):
+            if up in pos_of:
+                entries[(0, pos_of[up])] = {pos_of[a]: 1}
 
-    for model_i in kept:
-        below = box_at.get((space.row_index[model_i], space.weights[model_i] - 1))
-        if below is not None:
-            entries[(0, pos_of[model_i])] = {pos_of[below]: 1}
-
-    def add_central(i_model, j_model, coeff):
-        a, b = pos_of[i_model], pos_of[j_model]
-        if a > b:
-            a, b, coeff = b, a, -coeff
-        entries[(a, b)] = {z_pos: coeff}
-
-    for ci, c in enumerate(sym.components):
-        if isinstance(c, TwoRow):
-            e_row = next(k for k, r in enumerate(rows) if r.component == ci and r.kind == "E")
-            f_row = next(k for k, r in enumerate(rows) if r.component == ci and r.kind == "F")
-            middles = (Fraction(0),) if c.s.denominator == 1 else (HALF, -HALF)
-            for w in middles:
-                e_box = box_at.get((e_row, w))
-                f_box = box_at.get((f_row, -w))
-                if e_box is not None and f_box is not None:
-                    add_central(e_box, f_box, 1 if w >= 0 else -1)
-        else:
-            c_row = next(k for k, r in enumerate(rows) if r.component == ci)
-            plus = box_at.get((c_row, HALF))
-            minus = box_at.get((c_row, -HALF))
-            if plus is not None and minus is not None:
-                add_central(plus, minus, 1)
+    # an upper or centred row comes before its mate, so a < pi(a) below
+    for r, chain in zip(rows_of(sym), space.chains):
+        for a in chain:
+            w = space.weights[a]
+            if r.kind == "E" and w in (0, HALF, -HALF) or r.kind == "C" and w == HALF:
+                entries[(pos_of[a], pos_of[space.pairing[a][0]])] = {z_pos: -1 if w < 0 else 1}
 
     alg = algebra_from_entries(labels, degrees2, entries)
     box_index = (None,) + tuple(kept) + (None,)

@@ -213,11 +213,10 @@ def _vanishing_forms(v: VarietySampler, degree):
 
 def _row_boxes(x: GradedSymplecticSpace, component):
     """The boxes of the component's lower row (its only row, for a one-row
-    component), top weight first."""
-    for ri, r in enumerate(rows_of(x.symbol)):
+    component), top weight first: its chain."""
+    for r, chain in zip(rows_of(x.symbol), x.chains):
         if r.component == component and r.kind in ("F", "C"):
-            boxes = [i for i in range(x.dim) if x.row_index[i] == ri]
-            return sorted(boxes, key=lambda i: x.weights[i], reverse=True)
+            return chain
     raise ValueError("no such row")
 
 

@@ -9,7 +9,7 @@ graded symplectic model space with a weight-lowering shift map.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConstraintError, SymbolSyntaxError, UnsupportedRank
@@ -327,6 +327,11 @@ class GradedSymplecticSpace:
     row_index: tuple          # basis index -> position in rows_of(symbol)
     sigma: tuple              # skew pairing matrix
     shift: tuple              # weight-lowering shift as a matrix
+    # per row of rows_of(symbol), the range of its boxes, top weight first:
+    # the shift's Jordan chains
+    chains: tuple = field(repr=False, compare=False)
+    # per box a, (pi(a), s_a) with sigma[a][pi(a)] = s_a the one nonzero of row a
+    pairing: tuple = field(repr=False, compare=False)
 
     @property
     def dim(self):
@@ -334,54 +339,47 @@ class GradedSymplecticSpace:
 
 
 def build_model_space(sym: FlagSymbol) -> GradedSymplecticSpace:
+    """The boxes row by row, top weight first, with the pairing and the shift
+    in closed form.  Box p of an upper row of l + 1 boxes pairs with box
+    l - p of the lower row, and box p of a centred row of m2 + 1 boxes with
+    box m2 - p; the sign at box p is (-1)^p and its mate's is the opposite.
+    The shift moves each box one step down its row."""
     rows = rows_of(sym)
-    labels = []
-    weights = []
-    row_index = []
+    labels, weights, row_index, chains = [], [], [], []
     for ri, r in enumerate(rows):
-        w = r.top
-        while w >= r.bottom:
+        chains.append(range(len(labels), len(labels) + r.length))
+        for p in range(r.length):
+            w = r.top - p
             labels.append(f"{r.kind}{r.component}[{_num_str(w)}]")
             weights.append(w)
             row_index.append(ri)
-            w -= 1
     n = len(labels)
-    index_at = {(ri, w): i for i, (ri, w) in enumerate(zip(row_index, weights))}
 
-    sigma = [[Fraction(0)] * n for _ in range(n)]
-    for ci, c in enumerate(sym.components):
-        if isinstance(c, TwoRow):
-            e_row = next(k for k, r in enumerate(rows) if r.component == ci and r.kind == "E")
-            f_row = next(k for k, r in enumerate(rows) if r.component == ci and r.kind == "F")
-            w = c.s
-            while w >= c.s - c.l:
-                i = index_at[(e_row, w)]
-                j = index_at[(f_row, -w)]
-                sign = Fraction(-1) if int(c.s - w) % 2 else Fraction(1)
-                sigma[i][j] = sign
-                sigma[j][i] = -sign
-                w -= 1
-        else:
-            m = Fraction(c.m2, 2)
-            c_row = next(k for k, r in enumerate(rows) if r.component == ci)
-            w = m
-            while w >= -m:
-                i = index_at[(c_row, w)]
-                j = index_at[(c_row, -w)]
-                sigma[i][j] = Fraction(-1) if int(m - w) % 2 else Fraction(1)
-                w -= 1
+    pairing = [None] * n
+    for ri, r in enumerate(rows):  # a lower row follows its upper row
+        if r.kind != "F":
+            mates = chains[ri + 1] if r.kind == "E" else chains[ri]
+            for p, (a, b) in enumerate(zip(chains[ri], reversed(mates))):
+                s = -1 if p % 2 else 1
+                pairing[a], pairing[b] = (b, s), (a, -s)
 
-    shift = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        target = (row_index[j], weights[j] - 1)
-        if target in index_at:
-            shift[index_at[target]][j] = Fraction(1)
+    zero_row = (Fraction(0),) * n
+
+    def one_hot(j, c):
+        return zero_row[:j] + (Fraction(c),) + zero_row[j + 1:]
+
+    shift = [zero_row] * n
+    for chain in chains:
+        for up, a in zip(chain, chain[1:]):
+            shift[a] = one_hot(up, 1)
 
     return GradedSymplecticSpace(
         symbol=sym,
         labels=tuple(labels),
         weights=tuple(weights),
         row_index=tuple(row_index),
-        sigma=tuple(tuple(r) for r in sigma),
-        shift=tuple(tuple(r) for r in shift),
+        sigma=tuple(one_hot(b, s) for b, s in pairing),
+        shift=tuple(shift),
+        chains=tuple(chains),
+        pairing=tuple(pairing),
     )

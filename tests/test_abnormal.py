@@ -578,7 +578,7 @@ def shift_exponential(x):
 
 
 @pytest.mark.parametrize("text", ["D(2,3)", "R(5/2)", "D(2,3)+R(5/2)", "2*D(1,2)+R(1/2)",
-                                  "D(5/2,4)"])
+                                  "D(5/2,4)", "D(0,0)", "D(1,0)", "D(7/2,4)+D(2,3)+R(1/2)"])
 def test_flat_curve_is_the_shift_exponential(text):
     x = build_model_space(parse_symbol(text))
     c = flat_curve(x)

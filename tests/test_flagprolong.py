@@ -110,7 +110,7 @@ def test_sparse_built_subspace_matches_dense_built(text):
     # be indistinguishable from the dense constructor
     x = space(text)
     n = x.dim
-    for mats in (_span_reduce(_lowest_weight_vectors(x, _sl2(x)[0]), n), []):
+    for mats in (_span_reduce(_lowest_weight_vectors(x), n), []):
         dense = MatrixSubspace((n, n), tuple(_dense(m, n) for m in mats))
         lazy = _subspace(mats, n)
         assert lazy.dim == dense.dim == len(mats)
@@ -402,7 +402,7 @@ def test_l_is_sl2_invariant_degree_by_degree(text):
 @pytest.mark.parametrize("text", SL2_SAMPLES + SPLIT_SAMPLES + ["D(2,0)", "D(1,1)", "D(0,0)"])
 def test_lowest_weight_vectors_are_killed_by_e(text):
     x = space(text)
-    vectors = _lowest_weight_vectors(x, _sl2(x)[0])
+    vectors = _lowest_weight_vectors(x)
     assert vectors
     for m in vectors:
         assert all(type(c) is int for c in m.values())
@@ -424,7 +424,7 @@ def test_lowest_weight_vectors_match_per_degree_solve():
     for name, sym in formula_universe().items():
         x = build_model_space(sym)
         e = _sl2(x)[0]
-        assert _span_reduce(_lowest_weight_vectors(x, e), x.dim) == _span_reduce(
+        assert _span_reduce(_lowest_weight_vectors(x), x.dim) == _span_reduce(
             _solved_lowest_weight_vectors(x, e), x.dim), name
 
 

@@ -1,6 +1,7 @@
 """Structure-constant algebras: Heisenberg, flat models, Killing forms."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,44 @@ def test_heisenberg_from_space_matches_sigma():
     j = x.labels.index("F0[-2]")
     br = h.algebra.bracket(h.algebra.basis_vector(i), h.algebra.basis_vector(j))
     assert br[h.z_index] == x.sigma[i][j] == 1
+
+
+# SHA-256 of repr(flat_model(sym).algebra.rows) and of
+# repr(heisenberg_from_space(x).algebra.rows), recorded while both were built
+# from (row, weight) lookups and scans of the dense sigma
+PINNED_FLAT = {
+    "R(3/2)":
+        "b615ec6680311b2cc2df8851b3f188e46c0b8800b79821262cd92fcf44f1b6ae",
+    "D(1,2)":
+        "b85663a3974568a644ca64dedd29fef461eccc3e1678fe0cef84ab943b5bf311",
+    "D(2,3)+R(5/2)":
+        "a3ccd737362b3ab3dbe1ff401e82db08ca73c8651d059d0696316a26b73098b9",
+    "3*D(1/2,1)+R(1/2)":
+        "0277d8d0a676dbb681b7c233018a91d4eecfa082e3e5421647308baf087c50ff",
+    "D(7/2,4)+D(2,3)+R(1/2)":
+        "d8daa914478c9a9ef9a8a3867a81a835fb095ca45e46d46cc70d95dc4b4c143b",
+}
+PINNED_HEISENBERG = {
+    "R(3/2)":
+        "756b244c3cd37ae8e8332ecd76dea2ee9fed573557d1b23bd06aa474dba5b2bb",
+    "D(1,2)":
+        "04787ed8e23ed181e07a8defe52b7317e210bbc57fc1206ee09b8cd6a18b7abe",
+    "D(2,3)+R(5/2)":
+        "87e52318c639108982548a0ba8d1b3f62d5f4786f18b1df362788f2241aae8db",
+    "3*D(1/2,1)+R(1/2)":
+        "f7f5cec70ba0dda08648480e5fef01fa1554616d6e7c288d99a198c4fd0e764f",
+    "D(7/2,4)+D(2,3)+R(1/2)":
+        "e8ded7348a01e72acd66d7e41ced3e337c78913af80e43e3597a47abe29d8db5",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_FLAT))
+def test_layout_built_structure_constants_are_pinned(text):
+    sym = parse_symbol(text)
+    flat = flat_model(sym).algebra.rows
+    heis = heisenberg_from_space(build_model_space(sym)).algebra.rows
+    assert hashlib.sha256(repr(flat).encode()).hexdigest() == PINNED_FLAT[text]
+    assert hashlib.sha256(repr(heis).encode()).hexdigest() == PINNED_HEISENBERG[text]
 
 
 def test_heisenberg_needs_even_dim():

@@ -12,7 +12,6 @@ from spflag import symbols
 from spflag.exact import is_zero_vector, mat_mul, rank, transpose
 from spflag.symbols import (
     MAX_DIM_X,
-    FlagSymbol,
     OneRow,
     TwoRow,
     box_weights,
@@ -31,6 +30,7 @@ from spflag.symbols import (
     symbol_from_json,
     symbol_to_json,
 )
+from universes import formula_universe
 
 
 def sym(text):
@@ -324,3 +324,41 @@ def test_model_space_top_pairing_sign():
         top = x.weights.index(max(x.weights))
         bottom = x.weights.index(min(x.weights))
         assert x.sigma[top][bottom] == 1
+
+
+def reference_pairing(x):
+    """(pi(a), s_a) per box a, scanned off the dense sigma: sigma[a][pi(a)]
+    = s_a is the one nonzero of row a."""
+    out = []
+    for row in x.sigma:
+        (pair,) = [(b, int(c)) for b, c in enumerate(row) if c]
+        out.append(pair)
+    return tuple(out)
+
+
+def reference_chains(x):
+    """The shift's Jordan chains, walked down the dense shift from each box
+    that no box is sent to."""
+    n = x.dim
+    down = {j: i for i in range(n) for j in range(n) if x.shift[i][j]}
+    chains = [[a] for a in range(n) if a not in down.values()]
+    for chain in chains:
+        while chain[-1] in down:
+            chain.append(down[chain[-1]])
+    return chains
+
+
+def test_layout_matches_the_dense_sigma_and_shift():
+    for name, s in formula_universe().items():
+        x = build_model_space(s)
+        rows = rows_of(s)
+        assert x.pairing == reference_pairing(x), name
+        assert [list(c) for c in x.chains] == reference_chains(x), name
+        assert len(x.chains) == len(rows)
+        for ri, chain in enumerate(x.chains):
+            assert all(x.row_index[a] == ri for a in chain)
+            assert [x.weights[a] for a in chain] == [rows[ri].top - p for p in range(len(chain))]
+        for a, (b, c) in enumerate(x.pairing):
+            assert x.pairing[b][0] == a, name
+            assert x.pairing[b][1] == -c, name
+            assert x.weights[b] == -x.weights[a], name

@@ -434,7 +434,8 @@ class _ComplementJets:
     its solutions are exactly those jets; a failed extension step certifies a
     rank drop of the pairing at t = 0.  Jets are integer: each is scaled by
     one integer when a coefficient is appended, and the extension of a
-    scaled jet is the scaled extension, so every span stays the same."""
+    scaled jet is the scaled extension, so every span stays the same.  Columns
+    may be truncated, as one-jets (value, derivative) are."""
 
     def __init__(self, cols, sigma):
         self.n = len(sigma)
@@ -443,11 +444,12 @@ class _ComplementJets:
         self.coeff_rows = [[_sigma_row(sigma, c) for c in col] or [(0,) * self.n]
                            for col in cols]
         self.r0 = [pr[0] for pr in self.coeff_rows]
-        self.kernel = [_integral((v,))[0] for v in kernel_basis(self.r0)]
+        self.kernel = _skew_complement([_eval_col(c, 0, self.n) for c in cols], sigma)
         self.jets = [[k] for k in self.kernel]
         self.order = 0
 
     def ensure(self, order):
+        """Extend to the given order; return the jets, extended kernel jets first."""
         while self.order < order:
             p = self.order + 1
             rhss = [[-sum(x * y for q in range(1, min(p, len(pr) - 1) + 1)
@@ -459,6 +461,7 @@ class _ComplementJets:
             self.jets = ([list(_integral(jet + [sol])) for jet, sol in zip(self.jets, sols)]
                          + [[(0,) * self.n] * p + [k] for k in self.kernel])
             self.order = p
+        return self.jets
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +475,13 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     case seeds its half-odd chain with jets of complement sections.  The
     symbol is read off the rank profile of the iterated degree-lowering maps
     induced on the graded pieces by differentiation of sections at t = 0.
-    It depends only on spans, ranks and greedy independence picks, which a
-    nonzero scale on a vector or a jet leaves alone, so columns, fibers,
-    complements, jets and one-jets are primitive integer vectors here.
+    It depends only on the members' spans and on the ranks of the level
+    maps modulo each floor.  Two sections of F_i with the same value at 0
+    differ by t u, with u a section of F_i, so their derivatives at 0 differ
+    by u(0), which lies in the floor of level i - 1.  Hence any greedy pick of
+    one-jets gives the same symbol, and so does a nonzero scale on a vector or
+    a jet: columns, fibers, complements, jets and one-jets are primitive
+    integer vectors here.
     """
     if isinstance(curve, FlagCurve):
         case = rank_parity or curve.case
@@ -525,25 +532,25 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
 
     if case == "even":
         # half-odd chain from the Taylor coefficients a_j at 0 of complement
-        # sections (truncated jets, k + 2 of them) and of the base columns
-        # (k + 1); (a_j, (j+1) a_{j+1}) is the one-jet of the j-th derivative
-        # over j!, and the first level, k = -1, sits at index 1/2
+        # sections (truncated jets) and of the base columns; (a_j, (j+1) a_{j+1})
+        # is the one-jet of the j-th derivative over j!.  Level k, at index
+        # -1/2 - k, adds j = k + 1 of each jet and j = k of each column to the
+        # level above, so as in osculation one fiber and one jet span grow
         jets = _ComplementJets(cols0, sigma)
         zero = (0,) * n
+        fiber, jet_span, kept = Echelon(n), Echelon(2 * n), []
         k = -1
         while True:
-            jets.ensure(k + 2)
-            series = ([(jet, k + 2) for jet in jets.jets]
-                      + [(list(col) + [zero] * (k + 2), k + 1) for col in cols0])
-            pairs = [(s[j], tuple((j + 1) * e for e in s[j + 1]))
-                     for s, m in series for j in range(m)]
+            newest = [(s, k + 1) for s in jets.ensure(k + 2)]
+            for s, j in newest + [(col, k) for col in cols0 if k >= 0]:
+                val, nxt = (s[q] if q < len(s) else zero for q in (j, j + 1))
+                der = tuple((j + 1) * e for e in nxt)
+                fiber.add(val)
+                if jet_span.add(val + der):
+                    kept.append((val, der))
             idx = -HALF - k
-            fibers[idx] = Echelon(n, [v for v, _ in pairs]).integer_rows()
-            # thinned to pairs spanning the same jet space, which is all
-            # that constraints and fiber spans computed from them see
-            span = Echelon(2 * n)
-            cands[idx] = [(v, d) for v, d in pairs if span.add(v + d)]
-            if k >= 0 and len(fibers[idx]) == n:
+            fibers[idx], cands[idx] = fiber.integer_rows(), list(kept)
+            if k >= 0 and fiber.rank == n:
                 break
             if k > n + 2:
                 raise NonSymplecticFlag("half-odd chain does not fill the symplectic space")
@@ -558,30 +565,15 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
             return fibers[i]
         return _skew_complement((), sigma) if i < bottom else ()
 
-    # members above the base: complements, representatives from one-jets
+    # members above the base: complements of the dual members (empty below
+    # the bottom), with one-jets extended from the dual members' one-jets
     pos = ONE if case == "even" else base + step
     while True:
         d = dual_index(pos)
-        if d < bottom:
-            fibers[pos] = ()
-            cands[pos] = []
-            break
         fibers[pos] = _skew_complement(fiber_at(d), sigma)
         if not fibers[pos]:
-            cands[pos] = []
             break
-        source = cands[d]
-        r0 = [_sigma_row(sigma, val) for val, _ in source]
-        r1 = [_sigma_row(sigma, der) for _, der in source]
-        rhss = []
-        for v0 in fibers[pos]:
-            nz = [(j, x) for j, x in enumerate(v0) if x]
-            rhss.append([-sum(row[j] * x for j, x in nz) for row in r1])
-        v1s = solve_all(r0, rhss, n)
-        if v1s is None:
-            raise NonRegularPoint("complement section jet does not extend")
-        # each one-jet scaled to integers as a pair, which keeps it a one-jet
-        cands[pos] = [_integral(pair) for pair in zip(fibers[pos], v1s)]
+        cands[pos] = _ComplementJets(cands[d], sigma).ensure(1)[:len(fibers[pos])]
         pos += step
 
     grid = sorted(fibers)
@@ -660,17 +652,12 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
             span_n.update(composite_ranks(b, lo))
             b += ONE
 
-        def covered(a, b, lo=lo, hi=hi, span_n=span_n):
-            if a < lo or b > hi:
-                return 0
-            return span_n[(a, b)]
-
         a = lo
         while a <= hi:
             b = a
             while b <= hi:
-                count = (covered(a, b) - covered(a - ONE, b)
-                         - covered(a, b + ONE) + covered(a - ONE, b + ONE))
+                count = (span_n.get((a, b), 0) - span_n.get((a - ONE, b), 0)
+                         - span_n.get((a, b + ONE), 0) + span_n.get((a - ONE, b + ONE), 0))
                 if count < 0:
                     raise NonSymplecticFlag("rank profile does not fit a row diagram")
                 if count:

@@ -14,6 +14,7 @@ from spflag.cli import MAX_KMAX, build_parser, main
 from spflag.abnormal import flat_curve
 from spflag.exact import MultiPoly
 from spflag.flagprolong import flag_prolong
+from spflag.liealg import flat_model
 from spflag.symbols import MAX_DIM_X, build_model_space, parse_symbol
 
 from curvecols import as_polys
@@ -149,6 +150,16 @@ def test_unknown_subcommand(capsys):
 def test_missing_subcommand(capsys):
     code, _, err = run(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("prolong", "flag"), "this command needs --spec or --n"),
+    (("symbol", "enumerate", "--n", "7"), "enumerate needs --rank and --n"),
+    (("extract",), "extract needs --curve or --spec"),
+])
+def test_missing_source_is_one_usage_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_enumerate_rank3(capsys):
@@ -381,6 +392,21 @@ def test_flat_model_brackets(capsys):
     assert "[C0[1/2], C0[-1/2]] = z" in out
 
 
+def test_flat_model_json_brackets_are_the_structure_constants(capsys):
+    # the one report that hands Fraction values to the JSON writer
+    code, out, _ = run(capsys, "flat-model", "--spec", "R(3/2)", "--json")
+    assert code == 0
+    alg = flat_model(parse_symbol("R(3/2)")).algebra
+
+    def num(c):
+        return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    want = [{"left": alg.labels[i], "right": alg.labels[j],
+             "value": {alg.labels[k]: num(c) for k, c in row[j].items()}}
+            for i, row in enumerate(alg.rows) for j in sorted(row) if j > i]
+    assert want and json.loads(out)["brackets"] == want
+
+
 def test_goh_checks_pass(capsys):
     for spec in ("D(2,3)", "R(5/2)", "D(2,3)+R(5/2)"):
         code, out, _ = run(capsys, "goh", "--spec", spec)
@@ -438,6 +464,25 @@ def test_extract_rank_drop_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "extract", "--curve", str(path))
     assert code == 2
     assert "verification failure" in err
+
+
+@pytest.mark.parametrize("parity, sigma, columns, message", [
+    # a one-jet of a complement section above the base has no extension
+    ("even", [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+     [[[-1, 0], [], [0, 1], [0, 0, 1]], [[], [1, -1], [], []]],
+     "complement section jet does not extend"),
+    # the base columns fill the plane at t = 0, so the index dual to 3/2 lies
+    # below the bottom, and the base member is the whole plane
+    ("two", [[0, 1], [-1, 0]], [[[-1], [0]], [[0], [-1]]],
+     "member at index 1/2 is not isotropic"),
+])
+def test_extract_curve_verification_failure_is_one_line(capsys, tmp_path, parity, sigma,
+                                                        columns, message):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"rank_parity": parity, "sigma": sigma, "columns": columns}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (2, "", f"verification failure: {message}\n")
 
 
 def test_extract_rejects_float_entries(capsys, tmp_path):

@@ -19,12 +19,14 @@ from .errors import (
     ConstraintError,
     DegenerateBranch,
     NonRegularPoint,
+    NonSkew,
     NonSymplecticFlag,
     NotInAnnihilator,
 )
 from .exact import (
     Echelon,
     MultiPoly,
+    check_skew,
     frac,
     kernel_basis,
     pfaffian,
@@ -97,8 +99,9 @@ def goh_matrix(fm: FlatModel) -> GohMatrix:
     entries = [[zero for _ in range(size)] for _ in range(size)]
     for a in range(size):
         for b in range(a + 1, size):
-            w = alg.table[fm.distribution[a]][fm.distribution[b]]
-            form = hamiltonian_form(names, w)
+            w = alg.rows[fm.distribution[a]].get(fm.distribution[b], {})
+            form = sum((MultiPoly.variable(names, names[k]) * frac(c)
+                        for k, c in sorted(w.items())), zero)
             entries[a][b] = form
             entries[b][a] = -form
     return GohMatrix(names, tuple(fm.distribution), tuple(tuple(r) for r in entries))
@@ -400,6 +403,18 @@ def _sigma_row(sigma, v):
     return tuple(out)
 
 
+def check_pairing(sigma):
+    """Raise ValueError unless sigma is a nonempty skew nondegenerate matrix."""
+    if not sigma:
+        raise ValueError("sigma is empty")
+    try:
+        check_skew(sigma)
+    except NonSkew as exc:
+        raise ValueError(f"sigma: {exc}") from None
+    if rank(sigma) != len(sigma):
+        raise ValueError("sigma is degenerate")
+
+
 def _skew_complement(basis, sigma):
     """A basis of the skew-orthogonal complement of the span of basis: the
     canonical kernel vectors, each scaled to a primitive integer vector."""
@@ -481,7 +496,8 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
     by u(0), which lies in the floor of level i - 1.  Hence any greedy pick of
     one-jets gives the same symbol, and so does a nonzero scale on a vector or
     a jet: columns, fibers, complements, jets and one-jets are primitive
-    integer vectors here.
+    integer vectors here.  sigma must be a symplectic pairing: check_pairing
+    raises ValueError for any other.
     """
     if isinstance(curve, FlagCurve):
         case = rank_parity or curve.case
@@ -494,6 +510,7 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         cols0 = curve
     if case not in ("odd", "two", "even"):
         raise ValueError(f"unknown rank parity {case!r}")
+    check_pairing(sigma)
     n = len(sigma)
     if any(len(c) != n for col in cols0 for c in col):
         raise ValueError("column length does not match the pairing")
@@ -561,39 +578,37 @@ def extract_flag_symbol(curve, rank_parity=None, sigma=None) -> FlagSymbol:
         return (ONE - b) if case in ("odd", "two") else (HALF - b)
 
     def fiber_at(i):
-        if i in fibers:
-            return fibers[i]
-        return _skew_complement((), sigma) if i < bottom else ()
+        return fibers[i] if i in fibers else _skew_complement((), sigma) if i < bottom else ()
 
-    # members above the base: complements of the dual members (empty below
-    # the bottom), with one-jets extended from the dual members' one-jets
+    # members above the base: complements of the dual members, computed once
+    # by the jets of the dual member's one-jets (their values span it, and
+    # kernel_basis is canonical for a row space).  As sigma is nondegenerate,
+    # only the whole space has an empty complement: the loop stops at the
+    # first dual member that fills it, or at once if the base of case two does
     pos = ONE if case == "even" else base + step
-    while True:
-        d = dual_index(pos)
-        fibers[pos] = _skew_complement(fiber_at(d), sigma)
-        if not fibers[pos]:
+    while dual_index(pos) in cands:
+        jets = _ComplementJets(cands[dual_index(pos)], sigma)
+        if not jets.kernel:
             break
-        cands[pos] = _ComplementJets(cands[d], sigma).ensure(1)[:len(fibers[pos])]
+        fibers[pos], cands[pos] = jets.kernel, jets.ensure(1)[:len(jets.kernel)]
         pos += step
 
     grid = sorted(fibers)
 
-    # flag shape: nested, isotropic above index zero, coisotropic from zero down
+    # flag shape: nested, and the Lagrangian base of case two isotropic; the
+    # rest follows from nesting.  Above 0 every other member is a complement
+    # C = {v : sigma(F, v) = 0} of a member F below it (F_{1/2} = F_0^perp in
+    # case even), so C lies in F, and sigma(u, v) = 0 for u, v in C.  At or
+    # below 0, F_i is the whole space (as is every member below one that is),
+    # or F_i^perp is a member F_{dual(i)} with dual(i) > i, so it lies in F_i.
     for lo, hi in zip(grid, grid[1:]):
         span = Echelon(n, fibers[lo])
         if any(not span.contains(v) for v in fibers[hi]):
             raise NonSymplecticFlag("filtration members are not nested")
-    for i in grid:
-        basis = fibers[i]
-        if i > 0:
-            rows_s = [_sigma_row(sigma, u) for u in basis]
-            if any(sum(x * y for x, y in zip(rows_s[a], v))
-                   for a in range(len(basis)) for v in basis[a:]):
-                raise NonSymplecticFlag(f"member at index {i} is not isotropic")
-        else:
-            span = Echelon(n, basis)
-            if any(not span.contains(v) for v in _skew_complement(basis, sigma)):
-                raise NonSymplecticFlag(f"member at index {i} is not coisotropic")
+    if case == "two":
+        rows_s = [_sigma_row(sigma, u) for u in fibers[base]]
+        if any(sum(x * y for x, y in zip(r, v)) for r in rows_s for v in fibers[base]):
+            raise NonSymplecticFlag(f"member at index {base} is not isotropic")
 
     # graded representatives, a greedy pick of one-jets whose values complete
     # the floor to the fiber, and the level maps induced by differentiation

@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from .abnormal import (
+    check_pairing,
     column,
     degeneracy_locus,
     derived_filtration,
@@ -29,10 +30,9 @@ from .abnormal import (
 from .errors import (
     CapReached,
     NonRegularPoint,
-    NonSkew,
     NonSymplecticFlag,
 )
-from .exact import MultiPoly, check_skew, frac, rank, rref, spans_equal
+from .exact import MultiPoly, frac, spans_equal
 from .flagprolong import decompose_azp, flag_prolong
 from .liealg import flat_model, heisenberg_from_space
 from .polyprolong import (
@@ -231,14 +231,9 @@ def _cmd_flat_model(args):
     sym = parse_symbol(_require_spec(args))
     m = flat_model(sym)
     alg = m.algebra
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            coeffs = alg.table[i][j]
-            if any(c != 0 for c in coeffs):
-                value = {alg.labels[k]: coeffs[k] for k in range(alg.dim) if coeffs[k] != 0}
-                brackets.append({"left": alg.labels[i], "right": alg.labels[j],
-                                 "value": value})
+    brackets = [{"left": alg.labels[i], "right": alg.labels[j],
+                 "value": {alg.labels[k]: c for k, c in sorted(row[j].items())}}
+                for i, row in enumerate(alg.rows) for j in sorted(row) if j > i]
     report = {
         "schema": SCHEMA,
         "command": "flat-model",
@@ -439,41 +434,22 @@ def _locus_span_target(filt, level):
 
 def _goh_checks(m, g, loc):
     alg = m.algebra
-    zero = MultiPoly.constant(g.variables, 0)
-    checks = []
     l = g.size
-
-    if l % 2:
-        cof = loc.sub_pfaffians
-        ok = True
-        for s in range(l):
-            total = zero
-            for j in range(l):
-                term = g.entries[s][j] * cof[j]
-                total = total + (term if j % 2 else -term)
-            if total != zero:
-                ok = False
-        checks.append({"name": "sub-pfaffian vector spans the kernel", "holds": ok})
-        coeff_vecs = [linear_coefficients(p) for p in cof if p.degree() == 1]
-    else:
-        cof = loc.sub_pfaffians
-        ok = True
-        for s in range(1, l + 1):
-            for i in range(1, l + 1):
-                total = zero
-                for j in range(1, l + 1):
-                    term = g.entries[s - 1][j - 1] * cof[i - 1][j - 1]
-                    total = total + (term if j % 2 == 0 else -term)
-                if i == s:
-                    want = loc.pfaffian if s % 2 else -loc.pfaffian
-                else:
-                    want = zero
-                if total != want:
-                    ok = False
-        checks.append({"name": "sub-pfaffian matrix reproduces the pfaffian",
-                       "holds": ok})
-        coeff_vecs = [linear_coefficients(loc.pfaffian)] if loc.pfaffian.degree() == 1 \
-            else []
+    zero = MultiPoly.constant(g.variables, 0)
+    # the Pfaffian row expansion, 0-based, for both parities:
+    # sum_j (-1)^(j+1) G[s][j] C[i][j] = delta_is (-1)^s pf, where at odd size
+    # C is the one row of sub-Pfaffians and pf = 0
+    cof, pf = ((loc.sub_pfaffians,), zero) if l % 2 else (loc.sub_pfaffians, loc.pfaffian)
+    ok = True
+    for s, grow in enumerate(g.entries):
+        for i, crow in enumerate(cof):
+            total = sum((e * c if j % 2 else -(e * c)
+                         for j, (e, c) in enumerate(zip(grow, crow))), zero)
+            ok = ok and total == ((-pf if s % 2 else pf) if i == s else zero)
+    checks = [{"name": "sub-pfaffian vector spans the kernel" if l % 2
+               else "sub-pfaffian matrix reproduces the pfaffian", "holds": ok}]
+    coeff_vecs = [linear_coefficients(p) for p in (cof[0] if l % 2 else (pf,))
+                  if p.degree() == 1]
 
     if l % 2 or l == 2:
         # the sub-pfaffians span the locus only while they are linear: l <= 3
@@ -481,21 +457,18 @@ def _goh_checks(m, g, loc):
         if l <= 3:
             filt = derived_filtration(m)
             dist = [alg.basis_vector(i) for i in m.distribution]
-            holds = spans_equal(rref(dist + coeff_vecs)[0], _locus_span_target(filt, 1))
+            holds = spans_equal(dist + coeff_vecs, _locus_span_target(filt, 1))
         checks.append({"name": "degeneracy locus is the second derived annihilator",
                        "holds": holds})
     if l == 2:
         x1, x2 = (alg.basis_vector(i) for i in m.distribution)
         b12 = alg.bracket(x1, x2)
-        form = hamiltonian_form(g.variables, b12)
         checks.append({"name": "pfaffian is the central bracket form",
-                       "holds": loc.pfaffian == form})
+                       "holds": loc.pfaffian == hamiltonian_form(g.variables, b12)})
         double = [alg.bracket(x1, b12), alg.bracket(x2, b12)]
-        lvl2 = rref(list(_locus_span_target(filt, 1)) + double)[0]
-        checks.append({
-            "name": "double brackets fill the third filtration level",
-            "holds": spans_equal(lvl2, _locus_span_target(filt, 2)),
-        })
+        checks.append({"name": "double brackets fill the third filtration level",
+                       "holds": spans_equal(list(_locus_span_target(filt, 1)) + double,
+                                            _locus_span_target(filt, 2))})
     return checks
 
 
@@ -574,15 +547,8 @@ def _curve_from_json(data):
     columns = [[[_rational_from_json(c) for c in _json_list(coeffs, "a column entry")]
                 for coeffs in _json_list(col, "a column")]
                for col in _json_list(data["columns"], "columns")]
+    check_pairing(sigma)
     n = len(sigma)
-    if not n:
-        raise ValueError("sigma is empty")
-    try:
-        check_skew(sigma)
-    except NonSkew as exc:
-        raise ValueError(f"sigma: {exc}") from None
-    if rank(sigma) != n:
-        raise ValueError("sigma is degenerate")
     if any(len(col) != n for col in columns):
         raise ValueError(f"columns must have length {n}, the size of sigma")
     return tuple(column(col) for col in columns), data["rank_parity"], sigma

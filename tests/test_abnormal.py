@@ -551,6 +551,13 @@ def test_extract_flags_nonfilling_curve():
 RANDOM_ENTRIES = (0, 0, 0, 1, -1, 2)
 
 
+def random_columns(rng, n, terms):
+    """One to three columns of 1 to terms coefficients with small entries."""
+    return tuple(tuple(tuple(rng.choice(RANDOM_ENTRIES) for _ in range(n))
+                       for _ in range(rng.randint(1, terms)))
+                 for _ in range(rng.randint(1, 3)))
+
+
 def random_curve(rng):
     """One to three columns of degree at most 4 with small entries, on n = 2,
     4 or 6 with sigma pairing e_i with e_{i+n/2}, and a random rank parity."""
@@ -558,10 +565,15 @@ def random_curve(rng):
     h = n // 2
     sigma = tuple(tuple(int(j == i + h) - int(i == j + h) for j in range(n))
                   for i in range(n))
-    cols = tuple(tuple(tuple(rng.choice(RANDOM_ENTRIES) for _ in range(n))
-                       for _ in range(rng.randint(1, 5)))
-                 for _ in range(rng.randint(1, 3)))
+    cols = random_columns(rng, n, 5)
     return cols, rng.choice(("odd", "two", "even")), sigma
+
+
+def model_pairing(n):
+    """sigma[i][n-1-i] = (-1)^i, the pairing of model spaces such as R(3/2)
+    and D(1,2)."""
+    return tuple(tuple((-1) ** i if j == n - 1 - i else 0 for j in range(n))
+                 for i in range(n))
 
 
 def extraction_outcome(cols, parity, sigma):
@@ -590,6 +602,114 @@ def test_extraction_outcomes_on_random_curves_are_pinned():
     } <= messages
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e96139155912b174bfb30f1d92c338212c2be209e3b8f44097f2630a4f9e3417"
+
+
+def test_extraction_outcomes_on_model_pairing_curves_are_pinned():
+    """The same for 5,000 seeded curves on n = 4, 6 or 8 under the model
+    pairing, each of one to three columns of degree at most 2: the digest was
+    recorded while every member's coisotropy and isotropy were tested and the
+    complements above the base were computed twice."""
+    rng = random.Random(2)
+    lines = []
+    for _ in range(5000):
+        n = rng.choice((4, 6, 8))
+        cols = random_columns(rng, n, 3)
+        lines.append(extraction_outcome(cols, rng.choice(("odd", "two", "even")),
+                                        model_pairing(n)))
+    assert any(": " not in line for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "db701e438164140bd44123651929f6162cea38212e8e71e4fbdc080363b7ece7"
+
+
+# two exits of the rank-profile reading, both of case two on n = 6
+PINNED_EXITS = (
+    ((((0, 2, 0, 0, 0, 0), (1, 0, 0, -1, 0, 0)),
+      ((1, 0, 0, 0, 0, 0), (1, 0, 1, 0, 2, 2), (0, 0, 1, 1, 0, -1), (1, 0, 2, 0, -1, 1),
+       (1, 0, 0, 0, 1, 0)),
+      ((0, 1, -1, 2, 0, 0),)),
+     "row intervals are not mirror-symmetric"),
+    ((((2, 0, 0, 0, 0, 2), (-1, 0, 1, 0, -1, 0), (0, 2, 2, 0, 0, -1), (1, 1, 0, 0, 2, 0),
+       (2, 1, 0, 0, 0, 0)),
+      ((-1, 2, 0, 0, -1, -1), (2, 2, 1, 0, 0, -1), (0, 2, 0, 2, 0, 0)),
+      ((0, 0, 2, -1, 0, 0),)),
+     "at most one centered row component is allowed"),
+)
+
+
+@pytest.mark.parametrize("cols, message", PINNED_EXITS)
+def test_extract_pinned_rank_profile_exits(cols, message):
+    with pytest.raises(NonSymplecticFlag) as exc:
+        extract_flag_symbol(cols, rank_parity="two", sigma=model_pairing(6))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ((), "sigma is empty"),
+    (((0, 1, 0), (-1, 0, 0)), "sigma: matrix is not square"),
+    (((1, 1), (-1, 0)), "sigma: nonzero diagonal entry at 0"),
+    (((0, 1), (1, 0)), "sigma: entries (0,1) and (1,0) are not opposite"),
+    (((0, 0), (0, 0)), "sigma is degenerate"),
+])
+def test_extract_rejects_a_pairing_that_is_not_symplectic(sigma, message):
+    with pytest.raises(ValueError) as exc:
+        extract_flag_symbol((((1, 0), (0, 1)),), rank_parity="odd", sigma=sigma)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("skew", [True, False])
+def test_extract_rejects_random_pairings_that_are_not_symplectic(skew):
+    """Seeded random curves under a singular skew or a non-skew pairing end
+    in a ValueError on entry.  Without the check, 438 of the 1,000 singular
+    and 216 of the 1,000 non-skew ones ended in a KeyError."""
+    rng = random.Random(4)
+    for _ in range(1000):
+        n = rng.choice((2, 4, 6))
+        sigma = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                sigma[i][j] = rng.choice(RANDOM_ENTRIES)
+                sigma[j][i] = -sigma[i][j]
+        i, j = rng.sample(range(n), 2)
+        if skew:
+            sigma[i] = [0] * n
+            for row in sigma:
+                row[i] = 0
+        else:
+            sigma[i][j] += rng.choice((1, 2))
+        with pytest.raises(ValueError) as exc:
+            extract_flag_symbol(random_columns(rng, n, 5),
+                                rank_parity=rng.choice(("odd", "two", "even")), sigma=sigma)
+        a, b = sorted((i, j))
+        want = "sigma is degenerate" if skew else \
+            f"sigma: entries ({a},{b}) and ({b},{a}) are not opposite"
+        assert type(exc.value) is ValueError and str(exc.value) == want
+
+
+def test_each_complement_is_computed_once(monkeypatch):
+    """Above the base each member is the kernel of its complement jets; the
+    flag-shape test computes no complement.  These 18 curves took 330
+    complements while both computed their own."""
+    import spflag.abnormal as abnormal
+
+    calls = []
+    complement = abnormal._skew_complement
+
+    def counted(basis, sigma):
+        calls.append(basis)
+        return complement(basis, sigma)
+
+    reparam = T + T * T * Fraction(1, 2)
+    names = ("D(6,7)+R(5/2)", "D(8,9)+R(1/2)", "R(13/2)", "D(5,6)", "D(2,3)+D(1/2,1)",
+             "D(5/2,5)+R(1/2)", "D(1,2)", "D(3/2,3)+D(1/2,1)", "D(5/2,3)+D(1/2,1)")
+    curves = []
+    for name in names:
+        c = flat_curve(build_model_space(parse_symbol(name)))
+        moved = transform_curve(c, matrix=random_symplectic(c.sigma, seed=5), reparam=reparam)
+        curves += [(name, c), (name, moved)]
+    monkeypatch.setattr(abnormal, "_skew_complement", counted)
+    for name, c in curves:
+        assert render_symbol(extract_flag_symbol(c)) == name
+    assert len(calls) <= 120
 
 
 def test_transform_curve_preserves_structure():

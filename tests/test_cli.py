@@ -18,6 +18,7 @@ from spflag.liealg import flat_model
 from spflag.symbols import MAX_DIM_X, build_model_space, parse_symbol
 
 from curvecols import as_polys
+from test_abnormal import PINNED_EXITS
 
 
 def run(capsys, *argv):
@@ -339,6 +340,20 @@ def test_verify_default_kmax_finishes_where_sampling_stalled(capsys, monkeypatch
     assert json.loads(out)["layers"] == data["layers"][:2]
 
 
+def test_verify_skips_tangential_secant_on_half_odd_rows(capsys):
+    code, out, err = run(capsys, "verify", "--spec", "D(7/2,5)", "--kmax", "2")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "hypothesis tangential_secant    skipped (integer rows required)" in lines
+    assert "theorem tangential_secant        SKIP" in lines
+    code, out, _ = run(capsys, "verify", "--spec", "D(7/2,5)", "--kmax", "2", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["hypotheses"]["tangential_secant"] == {"holds": False,
+                                                       "why": "integer rows required"}
+    assert data["passes"]["tangential_secant"] is None
+
+
 def test_verify_row_secants_pass_for_finite_type(capsys):
     code, out, _ = run(capsys, "verify", "--spec", "R(5/2)", "--kmax", "2")
     assert code == 0
@@ -429,6 +444,40 @@ def test_goh_locus_check_skips_at_odd_rank_five(capsys, spec):
     assert "SKIP" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("spec, rank", [("D(2,3)", 3), ("D(2,3)+R(5/2)", 4)])
+def test_goh_flags_a_corrupted_sub_pfaffian(capsys, monkeypatch, spec, rank):
+    """Doubling one nonzero sub-Pfaffian breaks the Pfaffian row expansion."""
+    import dataclasses
+    from spflag import cli
+    from spflag.abnormal import degeneracy_locus
+
+    def doubled(row, k):
+        return row[:k] + (row[k] + row[k],) + row[k + 1:]
+
+    def corrupted(m):
+        loc = degeneracy_locus(m)
+        cof = loc.sub_pfaffians
+        if loc.always_degenerate:
+            cof = doubled(cof, next(k for k, p in enumerate(cof) if p.terms))
+        else:
+            i, k = next((i, k) for i, row in enumerate(cof) for k, p in enumerate(row) if p.terms)
+            cof = cof[:i] + (doubled(cof[i], k),) + cof[i + 1:]
+        return dataclasses.replace(loc, sub_pfaffians=cof)
+
+    monkeypatch.setattr(cli, "degeneracy_locus", corrupted)
+    code, out, err = run(capsys, "goh", "--spec", spec, "--json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["rank"] == rank
+    # only the row expansion, which comes first, fails
+    assert [c["holds"] is False for c in report["checks"]] == \
+        [True] + [False] * (len(report["checks"]) - 1)
+    code, out, err = run(capsys, "goh", "--spec", spec)
+    assert (code, err) == (2, "")
+    assert [line for line in out.splitlines() if line.endswith("FAIL")] == \
+        [f"check {report['checks'][0]['name']:<48} FAIL"]
+
+
 def test_goh_json_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -480,6 +529,18 @@ def test_extract_curve_verification_failure_is_one_line(capsys, tmp_path, parity
                                                         columns, message):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"rank_parity": parity, "sigma": sigma, "columns": columns}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "extract", "--curve", str(path))
+    assert (code, out, err) == (2, "", f"verification failure: {message}\n")
+
+
+@pytest.mark.parametrize("cols, message", PINNED_EXITS)
+def test_extract_curve_pinned_rank_profile_exits(capsys, tmp_path, cols, message):
+    # entry r of a column lists its coefficients in t
+    columns = [[[c[r] for c in col] for r in range(6)] for col in cols]
+    sigma = [[(-1) ** i if j == 5 - i else 0 for j in range(6)] for i in range(6)]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"rank_parity": "two", "sigma": sigma, "columns": columns}),
                     encoding="utf-8")
     code, out, err = run(capsys, "extract", "--curve", str(path))
     assert (code, out, err) == (2, "", f"verification failure: {message}\n")

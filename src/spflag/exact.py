@@ -188,20 +188,21 @@ class Echelon:
                 basis.append(tuple(v))
         return tuple(basis)
 
+    def reduced_integer_rows(self):
+        """Pairs (lead, row of rref() times row[lead] > 0), in lead order."""
+        self._back_reduce()
+        return sorted(self.rows.items())
+
     def integer_rows(self):
         """The rows of rref(), each scaled to a primitive integer tuple."""
-        self._back_reduce()
         return tuple(tuple(row.get(j, 0) for j in range(self.ncols))
-                     for _, row in sorted(self.rows.items()))
+                     for _, row in self.reduced_integer_rows())
 
     def reduced_rows(self):
         """The rows of rref() as sparse {col: Fraction} dicts.  Columns need
         only be ordered, so they may also be (i, j) matrix positions."""
-        self._back_reduce()
-        return [
-            {j: Fraction(x, row[lead]) for j, x in row.items()}
-            for lead, row in sorted(self.rows.items())
-        ]
+        return [{j: Fraction(x, row[lead]) for j, x in row.items()}
+                for lead, row in self.reduced_integer_rows()]
 
     def rref(self):
         """Reduced row echelon form: (rows as Fraction tuples, pivot columns)."""
@@ -223,6 +224,8 @@ def kernel_basis(a, ncols=None):
     if ncols is None:
         if not a:
             return ()
+        if isinstance(a[0], dict):
+            raise ValueError("kernel_basis needs ncols for {col: value} rows")
         ncols = len(a[0])
     return Echelon(ncols, a).kernel()
 

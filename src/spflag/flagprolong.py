@@ -2,11 +2,12 @@
 
 All computations are graded: degree-k matrices only populate entries that
 raise the box weight by k, so every kernel stays small.  Matrices are sparse
-{(i, j): c} dicts inside the module, integer wherever only a span is kept.
-Graded sp(X), the sl2 triple and the lowest-weight vectors that generate
-l(X) under ad f are read off the model in closed form.  The flag layers are
-solved by one helper, _preimage, on sparse rows.  Dense Fraction tuples
-appear only in what is returned, and only when a basis is read.
+integer {(i, j): c} dicts inside the module, and a basis element is such a
+matrix with one rational scale.  Graded sp(X), the sl2 triple and the
+lowest-weight vectors that generate l(X) under ad f are read off the model
+in closed form.  The flag layers are solved by one helper, _preimage, on
+integer rows.  Dense Fraction tuples appear only in what is returned, and
+only when a basis is read.
 Dimensions come out exact; the closed-form predictors never touch linear
 algebra.
 """
@@ -44,7 +45,7 @@ def flatten_matrix(m):
 @dataclass(frozen=True)
 class MatrixSubspace:
     """The span of basis, a tuple of dense matrices.  One built by _subspace
-    keeps its sparse matrices and writes basis out on first read."""
+    keeps (integer matrix, scale) pairs and writes basis out on first read."""
     shape: tuple
     basis: tuple
 
@@ -57,7 +58,7 @@ class MatrixSubspace:
         # reached only for the basis of a _subspace, before its first read
         if name != "basis":
             raise AttributeError(name)
-        object.__setattr__(self, name, tuple(_dense(m, self.shape[0]) for m in self._sparse))
+        object.__setattr__(self, name, tuple(_dense(m, self.shape[0], s) for m, s in self._sparse))
         return self.basis
 
     @cached_property
@@ -89,10 +90,11 @@ def _twice_weights(x):
 # ---------------------------------------------------------------------------
 # sparse matrices {(i, j): c} and the one linear solver over them
 
-def _dense(m, n):
+def _dense(m, n, scale=Fraction(1)):
+    """The n x n Fraction matrix scale * m."""
     rows = {}
     for (i, j), c in m.items():
-        rows.setdefault(i, [_ZERO] * n)[j] = c if isinstance(c, Fraction) else Fraction(c)
+        rows.setdefault(i, [_ZERO] * n)[j] = scale * c
     zero = (_ZERO,) * n
     return tuple(tuple(rows[i]) if i in rows else zero for i in range(n))
 
@@ -103,55 +105,76 @@ def _subspace(basis, n):
     return sub
 
 
-def _ad(a, m):
-    """The commutator [a, m], without zero entries, for a with at most one
+def _ad(a):
+    """The map m -> [a, m], without zero entries, for a with at most one
     nonzero per row and per column, as e, h and f have: each nonzero of m
     is relabelled once from each side."""
     in_column = {j: (i, c) for (i, j), c in a.items()}
     in_row = {i: (j, c) for (i, j), c in a.items()}
-    out = {}
-    for (i, j), y in m.items():
-        if i in in_column:
-            r, c = in_column[i]
-            out[r, j] = out.get((r, j), 0) + c * y
-        if j in in_row:
-            t, c = in_row[j]
-            out[i, t] = out.get((i, t), 0) - c * y
-    return {key: c for key, c in out.items() if c}
+
+    def ad(m):
+        out = {}
+        for (i, j), y in m.items():
+            if i in in_column:
+                r, c = in_column[i]
+                out[r, j] = out.get((r, j), 0) + c * y
+            if j in in_row:
+                t, c = in_row[j]
+                out[i, t] = out.get((i, t), 0) - c * y
+        return {key: c for key, c in out.items() if c}
+    return ad
 
 
-def _preimage(family, image, targets):
-    """The nonzero combinations of family whose image lies in span(targets).
+def _preimage(family, image, targets, pi):
+    """The nonzero combinations of family whose image lies in the span of
+    targets, as (primitive integer matrix, scale) pairs, as targets are.
 
-    One sparse row per matrix position met by an image or a target; the
-    unknowns are the family coefficients, then the target coefficients.
-    Returns one combination per kernel vector of that system, so the result
-    is canonical for the family, its order and the targets' span.
+    Images and targets lie in csp(X), which obeys the mate relation
+    A[pi(j), pi(i)] = -s_i s_j A[i, j] of _graded_bases off the diagonal, so
+    one equation per mate pair is kept there, and every diagonal one.  The
+    unknowns are the family coefficients, then the targets'.  Each free
+    column gives the family part of the kernel vector with 1 there and 0 at
+    the other free columns, read off the back-reduced rows over the lcm of
+    their leads.  A target column is free when the target lies in the span
+    of the images and the earlier targets, so the result depends on the
+    targets' basis, not only on their span.  A target enters as its integer
+    matrix, which rescales its column and moves no pivot, so the vector of a
+    free target column is multiplied back by that target's scale.
     """
     if not family:
         return []
-    columns = [image(m) for m in family] + [{p: -c for p, c in t.items()} for t in targets]
+    nf = len(family)
+    columns = [image(m) for m in family] + [{p: -c for p, c in t.items()} for t, _ in targets]
     rows = {}
     for j, col in enumerate(columns):
-        for p, c in col.items():
-            rows.setdefault(p, {})[j] = c
+        for (a, b), c in col.items():
+            if a == b or (a, b) <= (pi[b], pi[a]):
+                rows.setdefault((a, b), {})[j] = c
+    pivots = dict(Echelon(len(columns), rows.values()).reduced_integer_rows())
     out = []
-    for v in Echelon(len(columns), rows.values()).kernel():
+    for f in (f for f in range(len(columns)) if f not in pivots):
+        terms = [(lead, row) for lead, row in pivots.items() if lead < nf and f in row]
+        den = math.lcm(*(row[lead] for lead, row in terms))
+        coef = {lead: -row[f] * den // row[lead] for lead, row in terms}
+        if f < nf:
+            coef[f] = den
         combo = {}
-        for j, c in enumerate(v[:len(family)]):
-            if c:
-                for p, y in family[j].items():
-                    combo[p] = combo.get(p, 0) + c * y
+        for j, c in coef.items():
+            for p, y in family[j].items():
+                combo[p] = combo.get(p, 0) + c * y
         combo = {p: y for p, y in combo.items() if y}
         if combo:
-            out.append(combo)
+            g = math.gcd(*combo.values())
+            scale = Fraction(g, den) * targets[f - nf][1] if f >= nf else Fraction(g, den)
+            out.append(({p: y // g for p, y in combo.items()}, scale))
     return out
 
 
-def _span_reduce(mats, n):
-    """Canonical basis of the span: its reduced row echelon form, with the
-    entries of a matrix read row by row."""
-    return Echelon(n * n, mats).reduced_rows()
+def _rref(mats, n):
+    """The rows of the rref of span(mats), with the entries of a matrix read
+    row by row, as (primitive integer matrix, 1 / its lead) pairs."""
+    return [(row, Fraction(1, row[lead]))
+            for lead, row in Echelon(n * n, mats).reduced_integer_rows()]
 
 
 def _graded_bases(x, degrees, conformal=False):
@@ -277,14 +300,15 @@ def flag_prolong(x: GradedSymplecticSpace, k_max=None) -> FlagProlongation:
     weight spread (or k_max) are computed; there is no early termination.
     """
     n = x.dim
+    pi = [a for a, _ in x.pairing]
     shift = _shift(x)
-    minus_shift = {p: -c for p, c in shift.items()}
+    ad_shift = _ad({p: -c for p, c in shift.items()})
     degrees = [d for d in _admissible_degrees(x) if k_max is None or d <= frac(k_max)]
     bases = _graded_bases(x, degrees, conformal=True)
     found = {}
     for k in degrees:
-        prev = found[k - 1] if k >= 1 else [shift] if k == 0 and shift else []
-        found[k] = _preimage(bases[k], lambda a: _ad(minus_shift, a), prev)
+        prev = found[k - 1] if k >= 1 else [(shift, Fraction(1))] if k == 0 and shift else []
+        found[k] = _preimage(bases[k], ad_shift, prev, pi)
     layers = {k: _subspace(found[k], n) for k in degrees}
     delta_dim = 1 if shift else 0
     total = delta_dim + sum(layers[d].dim for d in degrees)
@@ -354,30 +378,29 @@ def decompose_azp(x: GradedSymplecticSpace) -> AZPDecomposition:
     keeps nonnegative-degree sp(X).  So a, z and p need no solve:
     - ad-invariance gives l = l_diag (+) l_off, hence a = l_diag + sl2;
     - by the modular law, (l_diag + sl2) meets l in l_diag + (sl2 meets l_diag) = l_diag.
-    A projection of a span spans the projections, so z and p come from the
-    reduced rows of l; in r and a those rows go first, with no elimination.
+    l_diag and l_off sit on disjoint positions, so the rref of l is the union
+    of theirs: z and p are the reduced rows of l whose lead is row-diagonal,
+    and the rest.  r and a extend the rows of l and of z by e, h and f.
     """
     n = x.dim
     e, h, f = _sl2(x)
+    ad_f = _ad(f)
     generated, string = [], _lowest_weight_vectors(x)
     while string:
         generated += string
-        string = [m for m in (_ad(f, m) for m in string) if m]
-    l_basis = _span_reduce(generated, n)
-
-    def part(m, diagonal):
-        return {p: c for p, c in m.items()
-                if (x.row_index[p[0]] == x.row_index[p[1]]) == diagonal}
-
-    z_basis = _span_reduce([part(m, True) for m in l_basis], n)
+        string = [m for m in map(ad_f, string) if m]
+    l_basis, z_basis, p_basis = _rref(generated, n), [], []
+    for b in l_basis:
+        i, j = min(b[0])
+        (z_basis if x.row_index[i] == x.row_index[j] else p_basis).append(b)
     return AZPDecomposition(
         space=x,
         sl2=Sl2Triple(x.shift, _dense(h, n), _dense(f, n)),
         l_of_x=_subspace(l_basis, n),
-        r_of_uf=_subspace(_span_reduce(l_basis + [e, h, f], n), n),
-        a=_subspace(_span_reduce(z_basis + [e, h, f], n), n),
+        r_of_uf=_subspace(_rref([m for m, _ in l_basis] + [e, h, f], n), n),
+        a=_subspace(_rref([m for m, _ in z_basis] + [e, h, f], n), n),
         z=_subspace(z_basis, n),
-        p=_subspace(_span_reduce([part(m, False) for m in l_basis], n), n),
+        p=_subspace(p_basis, n),
     )
 
 
@@ -407,26 +430,15 @@ def rank_one_element(x: GradedSymplecticSpace, v):
 def _row_pair_count(y1, y2):
     """Number of independent maps between two rows surviving the nonnegative
     degree cut, summed over the graded pieces."""
-    r1, s1 = y1.bottom, y1.top
-    r2, s2 = y2.bottom, y2.top
-    l1 = int(s1 - r1)
-    l2 = int(s2 - r2)
-    i_min = max(0, math.ceil(s1 - r2))
-    i_max = min(l1, l2)
-    total = 0
-    for i in range(i_min, i_max + 1):
-        total += l1 + l2 - 2 * i + 1
-    return total
+    l1, l2 = int(y1.top - y1.bottom), int(y2.top - y2.bottom)
+    i_min = max(0, math.ceil(y1.top - y2.bottom))
+    return sum(l1 + l2 - 2 * i + 1 for i in range(i_min, min(l1, l2) + 1))
 
 
 def _self_pair_counts(c: TwoRow):
     s, l = c.s, c.l
-    i_min = max(0, math.ceil(l - s))
-    se = 0
-    for i in range(i_min, l // 2 + 1):
-        se += 2 * l - 4 * i + 1
-    sf = 1 if (l % 2 == 0 and s == Fraction(l, 2)) else 0
-    return se, sf
+    se = sum(2 * l - 4 * i + 1 for i in range(max(0, math.ceil(l - s)), l // 2 + 1))
+    return se, 1 if l % 2 == 0 and s == Fraction(l, 2) else 0
 
 
 def predicted_dims(sym: FlagSymbol) -> dict:

@@ -89,6 +89,13 @@ def test_kernel_vectors_annihilate_random():
                                                                       for v in kb)
 
 
+def test_kernel_basis_needs_ncols_for_sparse_rows():
+    # without ncols a {col: value} row has no column count; its length is not one
+    with pytest.raises(ValueError, match="ncols"):
+        kernel_basis([{0: 1, 5: 2}])
+    assert kernel_basis([{0: 1, 5: 2}], 6)[0] == (0, 1, 0, 0, 0, 0)
+
+
 def test_primitive_row_integer_and_rational_rows():
     # all-int rows skip the common denominator but still lose their content
     assert primitive_row({0: 4, 3: -6, 5: 0}) == {0: 2, 3: -3}

@@ -1,5 +1,6 @@
 """Flag prolongation, sl2 structure, a/z/p decomposition, dimension predictors."""
 import hashlib
+import math
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -8,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 from spflag.exact import (
+    Echelon,
     MultiPoly,
     mat_add,
     mat_mul,
@@ -28,8 +30,8 @@ from spflag.flagprolong import (
     _graded_bases,
     _lowest_weight_vectors,
     _preimage,
+    _rref,
     _sl2,
-    _span_reduce,
     _subspace,
     decompose_azp,
     flag_prolong,
@@ -83,6 +85,44 @@ def _bracket(a, b):
     return {key: c for key, c in out.items() if c}
 
 
+def _span_reduce(mats, n):
+    """Canonical basis of the span: its reduced row echelon form, with the
+    entries of a matrix read row by row, as {(i, j): Fraction} dicts."""
+    return Echelon(n * n, mats).reduced_rows()
+
+
+def _fraction_subspace(basis, n):
+    return MatrixSubspace((n, n), tuple(_dense(m, n) for m in basis))
+
+
+def _fraction_preimage(family, image, targets):
+    """Reference for _preimage on Fraction matrices: one row per position
+    met by an image or a target, and the family part of each dense Fraction
+    kernel vector of the system."""
+    if not family:
+        return []
+    columns = [image(m) for m in family] + [{p: -c for p, c in t.items()} for t in targets]
+    rows = {}
+    for j, col in enumerate(columns):
+        for p, c in col.items():
+            rows.setdefault(p, {})[j] = c
+    out = []
+    for v in Echelon(len(columns), rows.values()).kernel():
+        combo = {}
+        for j, c in enumerate(v[:len(family)]):
+            if c:
+                for p, y in family[j].items():
+                    combo[p] = combo.get(p, 0) + c * y
+        combo = {p: y for p, y in combo.items() if y}
+        if combo:
+            out.append(combo)
+    return out
+
+
+def _scaled(m, scale):
+    return {p: scale * c for p, c in m.items()}
+
+
 def _is_symplectic(x, m):
     """A^T sigma + sigma A = 0 for a sparse matrix A."""
     sigma = {(i, j): c for i, row in enumerate(x.sigma) for j, c in enumerate(row) if c}
@@ -106,13 +146,13 @@ def test_matrix_subspace_contains_and_equals():
 
 @pytest.mark.parametrize("text", ["D(2,3)", "D(1,2)+R(3/2)", "R(3/2)"])
 def test_sparse_built_subspace_matches_dense_built(text):
-    # _subspace keeps sparse matrices and densifies on first read; it must
-    # be indistinguishable from the dense constructor
+    # _subspace keeps integer matrices with their scales and densifies on
+    # first read; it must be indistinguishable from the dense constructor
     x = space(text)
     n = x.dim
-    for mats in (_span_reduce(_lowest_weight_vectors(x), n), []):
-        dense = MatrixSubspace((n, n), tuple(_dense(m, n) for m in mats))
-        lazy = _subspace(mats, n)
+    for mats in (_lowest_weight_vectors(x), []):
+        dense = _fraction_subspace(_span_reduce(mats, n), n)
+        lazy = _subspace(_rref(mats, n), n)
         assert lazy.dim == dense.dim == len(mats)
         assert "basis" not in vars(lazy)          # dim does not densify
         assert repr(lazy) == repr(dense)
@@ -415,7 +455,7 @@ def _solved_lowest_weight_vectors(x, e):
     """Reference for _lowest_weight_vectors: ker(ad e) in sp(X)_k solved for
     in each admissible degree k >= 0, with the generic bracket."""
     return [m for basis in _graded_bases(x, _admissible_degrees(x)).values()
-            for m in _preimage(basis, lambda m: _bracket(e, m), [])]
+            for m in _fraction_preimage(basis, lambda m: _bracket(e, m), [])]
 
 
 def test_lowest_weight_vectors_match_per_degree_solve():
@@ -437,8 +477,8 @@ def test_ad_matches_generic_bracket(text):
     bases = _graded_bases(x, sorted({-k for k in degrees} | set(degrees)), conformal=True)
     for a in _sl2(x):
         for m in (m for basis in bases.values() for m in basis):
-            assert _ad(a, m) == _bracket(a, m)
-            assert _ad({p: -c for p, c in a.items()}, m) == _bracket(m, a)
+            assert _ad(a)(m) == _bracket(a, m)
+            assert _ad({p: -c for p, c in a.items()})(m) == _bracket(m, a)
 
 
 @pytest.mark.parametrize("text", SL2_SAMPLES)
@@ -469,7 +509,7 @@ def _fixpoint_l_of_x(x):
             if not cur:
                 continue
             near = fam.get(k - 1, []) + fam.get(k + 1, [])
-            new = _span_reduce(_preimage(cur, lambda m: _bracket(e_plus_f, m), near), n)
+            new = _span_reduce(_fraction_preimage(cur, lambda m: _bracket(e_plus_f, m), near), n)
             if len(new) != len(cur):
                 fam[k] = new
                 changed = True
@@ -479,10 +519,10 @@ def _fixpoint_l_of_x(x):
 
     l_basis = _span_reduce([m for k in degrees for m in fam[k]], n)
     r_basis = _span_reduce(l_basis + [e, h, f], n)
-    a_basis = _span_reduce(_preimage(r_basis, off_rows, []), n)
-    z_basis = _span_reduce(_preimage(a_basis, lambda m: m, l_basis), n)
+    a_basis = _span_reduce(_fraction_preimage(r_basis, off_rows, []), n)
+    z_basis = _span_reduce(_fraction_preimage(a_basis, lambda m: m, l_basis), n)
     p_basis = _span_reduce([off_rows(m) for m in l_basis], n)
-    return tuple(_subspace(b, n) for b in (l_basis, r_basis, a_basis, z_basis, p_basis))
+    return tuple(_fraction_subspace(b, n) for b in (l_basis, r_basis, a_basis, z_basis, p_basis))
 
 
 # every third symbol keeps the oracle near 5 s; the whole universe runs in
@@ -497,6 +537,72 @@ def test_lowest_weight_construction_matches_fixpoint():
         dec = decompose_azp(x)
         got = (dec.l_of_x, dec.r_of_uf, dec.a, dec.z, dec.p)
         assert repr(got) == repr(_fixpoint_l_of_x(x)), name
+
+
+def test_preimage_matches_fraction_reference():
+    # the flag layers solved twice, degree by degree: by _preimage on integer
+    # rows with one equation per mate pair, and by the Fraction reference on
+    # every equation with the generic bracket, each fed its own layers
+    universe = formula_universe()
+    for name in sorted(universe)[::ORACLE_STRIDE]:
+        x = build_model_space(universe[name])
+        pi = [a for a, _ in x.pairing]
+        shift = _sl2(x)[0]
+        ad = _ad({p: -c for p, c in shift.items()})
+        degrees = _admissible_degrees(x)
+        bases = _graded_bases(x, degrees, conformal=True)
+        got, want = {}, {}
+        for k in degrees:
+            if k >= 1:
+                prev, ref = got[k - 1], want[k - 1]
+            else:
+                prev, ref = ([(shift, Fraction(1))], [shift]) if k == 0 and shift else ([], [])
+            got[k] = _preimage(bases[k], ad, prev, pi)
+            want[k] = _fraction_preimage(bases[k], lambda m: _bracket(m, shift), ref)
+            assert [_scaled(m, c) for m, c in got[k]] == want[k], (name, k)
+            for m, _ in got[k]:
+                assert all(type(c) is int for c in m.values())
+                assert math.gcd(*m.values()) == 1
+
+
+def test_preimage_carries_the_scale_of_a_free_target():
+    # a target that is the image of a family member, given as an integer
+    # matrix with scale 1/3: its column is free, and its combination is the
+    # member over 3 only if the scale is carried
+    x = space("D(2,3)")
+    pi = [a for a, _ in x.pairing]
+    ad = _ad({p: -c for p, c in _sl2(x)[0].items()})
+    family = _graded_bases(x, [1], conformal=True)[1]
+    image = ad(family[-1])
+    assert image
+    third = Fraction(1, 3)
+    got = _preimage(family, ad, [(image, third)], pi)
+    want = _fraction_preimage(family, ad, [_scaled(image, third)])
+    assert [_scaled(m, c) for m, c in got] == want
+    assert _scaled(family[-1], third) in want
+    assert [_scaled(m, c) for m, c in _preimage(family, ad, [(image, Fraction(1))], pi)] != want
+
+
+@pytest.mark.parametrize("text", SL2_SAMPLES + SPLIT_SAMPLES + ["D(2,0)", "D(0,0)"])
+def test_dropped_rows_are_multiples_of_kept_rows(text):
+    # _preimage keeps one equation per mate pair off the diagonal: in every
+    # column of its systems (a csp member, its bracket with the shift, or a
+    # flag layer member) the entry at the mate (pi(j), pi(i)) of an
+    # off-diagonal position (i, j) is -s_i s_j times the entry at (i, j)
+    x = space(text)
+    pi, s = zip(*x.pairing)
+    shift = _sl2(x)[0]
+    bases = _graded_bases(x, _admissible_degrees(x), conformal=True)
+    scaling = bases[0][-1]
+    assert scaling and all(i == j for i, j in scaling)
+    members = [m for basis in bases.values() for m in basis]
+    fp = prolong(text)
+    members += [{(i, j): c for i, row in enumerate(b) for j, c in enumerate(row) if c}
+                for d in fp.degrees for b in fp.layers[d].basis]
+    for m in members + [_bracket(m, shift) for m in members]:
+        for (i, j), c in m.items():
+            if i != j:
+                assert m.get((pi[j], pi[i]), 0) == -s[i] * s[j] * c, (text, m)
 
 
 @pytest.mark.parametrize("text", SL2_SAMPLES)
@@ -524,6 +630,25 @@ def test_bases_are_pinned(text):
     azp = tuple(getattr(dec, f.name) for f in fields(dec))
     digest = hashlib.sha256(repr((layers, azp)).encode()).hexdigest()
     assert digest == PINNED_BASES[text]
+
+
+# SHA-256 over every third acceptance-06 symbol of repr((name, flag_prolong
+# layer bases, matrices(), every decompose_azp field)), recorded before the
+# flag layers and the a/z/p split moved to integer rows with one scale each.
+PINNED_UNIVERSE = "a5b7a5c05b6bb24b5f6ffdbcc79f4329890f9d1d0f480ef6cdb1af18b3a9bcbe"
+
+
+def test_bases_over_the_universe_are_pinned():
+    universe = formula_universe()
+    digest = hashlib.sha256()
+    for name in sorted(universe)[::ORACLE_STRIDE]:
+        x = build_model_space(universe[name])
+        fp = flag_prolong(x)
+        dec = decompose_azp(x)
+        layers = tuple(fp.layers[d].basis for d in fp.degrees)
+        azp = tuple(getattr(dec, f.name) for f in fields(dec))
+        digest.update(repr((name, layers, fp.matrices(), azp)).encode())
+    assert digest.hexdigest() == PINNED_UNIVERSE
 
 
 def _poly_constant(c):

@@ -30,12 +30,12 @@ from .exact import (
     frac,
     kernel_basis,
     pfaffian,
+    primitive_row,
     rank,
     skew_kernel,
     solve_all,
     sub_pfaffians,
     vec,
-    zero_vector,
 )
 from .liealg import FlatModel
 from .symbols import (
@@ -181,7 +181,7 @@ def characteristic_direction(fm: FlatModel, point):
     gval = _goh_at(g, point)
 
     def lifted(coeffs):
-        v = list(zero_vector(alg.dim))
+        v = [ZERO] * alg.dim
         for a, c in enumerate(coeffs):
             v[fm.distribution[a]] += c
         return tuple(v)
@@ -417,12 +417,11 @@ def check_pairing(sigma):
 
 def _skew_complement(basis, sigma):
     """A basis of the skew-orthogonal complement of the span of basis: the
-    canonical kernel vectors, each scaled to a primitive integer vector."""
+    canonical kernel vectors, each scaled to a primitive integer vector and
+    written out over all n columns, as every vector of extraction is."""
     n = len(sigma)
-    if not basis:
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return tuple(_integral((v,))[0]
-                 for v in kernel_basis([_sigma_row(sigma, b) for b in basis]))
+    kernel = kernel_basis([_sigma_row(sigma, b) for b in basis], n)
+    return tuple(tuple(v.get(j, 0) for j in range(n)) for v in map(primitive_row, kernel))
 
 
 def _check_regular(level, rank0, probes, n):

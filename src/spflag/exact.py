@@ -33,10 +33,6 @@ def mat(rows):
     return tuple(vec(r) for r in rows)
 
 
-def zero_vector(n):
-    return (Fraction(0),) * n
-
-
 def identity_matrix(n):
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -170,23 +166,18 @@ class Echelon:
             rows[lead] = row
 
     def kernel(self):
-        """Basis of {v : row . v = 0 for every row}, one vector per free
-        column: 1 there, 0 at the other free columns."""
-        self._back_reduce()
+        """Basis of {v : row . v = 0 for every row} as sparse {col: Fraction}
+        vectors, one per free column f: 1 at f, and -x/y at the pivot column
+        of each reduced row with lead entry y and entry x at f.  Every such
+        pivot column is left of f, so the keys ascend and end at f."""
         at = {}
-        for lead, row in self.rows.items():
+        for lead, row in self.reduced_integer_rows():
             for j, x in row.items():
                 if j != lead:
-                    at.setdefault(j, []).append((lead, Fraction(-x, row[lead])))
-        basis = []
-        for f in range(self.ncols):
-            if f not in self.rows:
-                v = [_ZERO] * self.ncols
-                v[f] = Fraction(1)
-                for lead, x in at.get(f, ()):
-                    v[lead] = x
-                basis.append(tuple(v))
-        return tuple(basis)
+                    at.setdefault(j, {})[lead] = Fraction(-x, row[lead])
+        one = Fraction(1)
+        return tuple({**at.get(f, {}), f: one}
+                     for f in range(self.ncols) if f not in self.rows)
 
     def reduced_integer_rows(self):
         """Pairs (lead, row of rref() times row[lead] > 0), in lead order."""
@@ -211,13 +202,13 @@ class Echelon:
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return Echelon(len(a[0]), a).rank
+    """Rank of rows given as sequences or {col: value} dicts."""
+    return Echelon(None, a).rank
 
 
 def kernel_basis(a, ncols=None):
-    """Deterministic basis of the right kernel {v : a v = 0}, as dense tuples.
+    """Deterministic basis of the right kernel {v : a v = 0}, as the sparse
+    {col: Fraction} vectors of Echelon.kernel().
 
     Rows are sequences, or {col: value} dicts when ncols gives the number of
     unknowns; with ncols and no rows every unknown is free."""
@@ -241,11 +232,8 @@ def rref(a):
 
 def spans_equal(basis_a, basis_b):
     """True iff the two lists of vectors span the same subspace."""
-    if not basis_a and not basis_b:
-        return True
     if not basis_a or not basis_b:
-        return not basis_a and all(is_zero_vector(v) for v in basis_b) or \
-            not basis_b and all(is_zero_vector(v) for v in basis_a)
+        return all(is_zero_vector(v) for v in (*basis_a, *basis_b))
     if len(basis_a[0]) != len(basis_b[0]):
         return False
     return rref(basis_a)[0] == rref(basis_b)[0]
@@ -438,7 +426,8 @@ def skew_kernel(a, require_closed_form=False):
                 True)
     if require_closed_form:
         raise DegenerateBranch("all Pfaffian cofactors vanish; corank too high")
-    return SkewKernelResult(kernel_basis(a), False)
+    return SkewKernelResult(tuple(tuple(v.get(j, _ZERO) for j in range(n))
+                                  for v in kernel_basis(a, n)), False)
 
 
 # ---------------------------------------------------------------------------

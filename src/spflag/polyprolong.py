@@ -143,12 +143,11 @@ def _prolong_once(space):
     polys = []
     for v in kernel_basis(list(rows.values()), n * dim):
         terms = {}
-        for col, c in enumerate(v):
-            if c:
-                i, g = divmod(col, dim)
-                for exp, x in basis[g].items():
-                    up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                    terms[up] = terms.get(up, 0) + scale * c * x
+        for col, c in v.items():
+            i, g = divmod(col, dim)
+            for exp, x in basis[g].items():
+                up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                terms[up] = terms.get(up, 0) + scale * c * x
         polys.append(MultiPoly(space.variables, terms))
     return polys
 
@@ -207,7 +206,7 @@ def _vanishing_forms(v: VarietySampler, degree):
         image = math.prod((c ** e for c, e in zip(v.coords, m) if e), start=one)
         for exp, c in image.terms.items():
             rows.setdefault(exp, {})[col] = c
-    return [MultiPoly(v.ambient, dict(zip(monos, vec)))
+    return [MultiPoly(v.ambient, {monos[col]: c for col, c in vec.items()})
             for vec in kernel_basis(list(rows.values()), len(monos))]
 
 

@@ -145,9 +145,11 @@ class _Engine:
                 row = {a * d1 + s: c for s, c in zrow.items()}
                 row.update((m2_off + s, -c) for s, c in av2[a][r].items())
                 rows.append(row)
+        zero = Fraction(0)
         return tuple(
-            LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
-                         v[m2_off:])
+            LayerElement(tuple(tuple(v.get(a * d1 + r, zero) for a in range(n))
+                               for r in range(d1)),
+                         tuple(v.get(c, zero) for c in range(m2_off, nvars)))
             for v in kernel_basis(rows, nvars))
 
 

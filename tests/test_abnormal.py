@@ -35,7 +35,6 @@ from spflag.errors import NonRegularPoint, NonSymplecticFlag, NotInAnnihilator
 from spflag.exact import (
     MultiPoly,
     frac,
-    kernel_basis,
     pfaffian,
     rref,
     solve_linear,
@@ -47,6 +46,7 @@ from spflag.liealg import FlatModel, algebra_from_entries, flat_model
 from spflag.symbols import HALF, build_model_space, parse_symbol, render_symbol
 
 from curvecols import TVAR, as_array, as_polys
+from densekernel import dense_kernel
 
 T = MultiPoly.variable(TVAR, "t")
 
@@ -387,7 +387,7 @@ def test_flat_curve_isotropy_pattern():
                 vals = eval_block(block, t0, n)
                 rows = [tuple(sum(v[i] * x.sigma[i][j] for i in range(n))
                               for j in range(n)) for v in vals]
-                comp = kernel_basis(rows)
+                comp = dense_kernel(rows)
                 assert all(span_contains(list(vals), k) for k in comp)
 
 
@@ -460,7 +460,7 @@ def reference_jets(cols, sigma, order):
     the canonical Fraction kernel and without any rescaling."""
     jets = _ComplementJets(cols, sigma)
     r0, n = jets.r0, jets.n
-    kernel = kernel_basis(r0)
+    kernel = dense_kernel(r0)
     out = [[k] for k in kernel]
     for p in range(1, order + 1):
         extended = []
@@ -518,7 +518,7 @@ def test_skew_complement_is_primitive_integer(text):
         basis = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
                  for _ in range(size)]
         got = _skew_complement(basis, sigma)
-        want = kernel_basis([_sigma_row(sigma, b) for b in basis])
+        want = dense_kernel([_sigma_row(sigma, b) for b in basis])
         assert len(got) == len(want)
         assert spans_equal(got, want)
         for v, w in zip(got, want):

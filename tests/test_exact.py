@@ -35,6 +35,8 @@ from spflag.exact import (
     vec,
 )
 
+from densekernel import dense_kernel
+
 
 def random_rational(rng, lo=-20, hi=20, den=7):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
@@ -59,16 +61,16 @@ def random_skew(rng, n):
 def test_rank_and_kernel_small():
     a = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert rank(a) == 2
-    kb = kernel_basis(a)
+    kb = dense_kernel(a)
     assert len(kb) == 1
     assert is_zero_vector(mat_vec(a, kb[0]))
 
 
 def test_rank_identity():
     assert rank(identity_matrix(5)) == 5
-    assert kernel_basis(identity_matrix(4)) == ()
+    assert dense_kernel(identity_matrix(4)) == ()
     # sparse rows: none, or none with a term, leave every unknown free
-    assert kernel_basis([], 4) == kernel_basis([{}], 4) == identity_matrix(4)
+    assert dense_kernel([], 4) == dense_kernel([{}], 4) == identity_matrix(4)
 
 
 def test_kernel_vectors_annihilate_random():
@@ -76,24 +78,58 @@ def test_kernel_vectors_annihilate_random():
     for _ in range(30):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n)
-        kb = kernel_basis(a)
+        kb = dense_kernel(a)
         assert rank(a) + len(kb) == n
         for v in kb:
             assert is_zero_vector(mat_vec(a, v))
         # the same rows as {col: Fraction} dicts, and with one more column
         # that no row touches, whose kernel vector is the unit vector there
         sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
-        assert kernel_basis(sparse, n) == kb
-        wide = kernel_basis([{j + 1: x for j, x in row.items()} for row in sparse], n + 1)
+        assert dense_kernel(sparse, n) == kb
+        wide = dense_kernel([{j + 1: x for j, x in row.items()} for row in sparse], n + 1)
         assert wide == ((Fraction(1),) + (Fraction(0),) * n,) + tuple((Fraction(0),) + v
                                                                       for v in kb)
+
+
+def canonical_kernel(a, ncols):
+    """The canonical kernel basis read off rref: per free column f, 1 at f
+    and minus the rref entry of each pivot row at f."""
+    rows, pivots = rref(a)
+    return tuple(
+        tuple(Fraction(1) if j == f else -rows[pivots.index(j)][f] if j in pivots
+              else Fraction(0) for j in range(ncols))
+        for f in range(ncols) if f not in pivots)
+
+
+def test_kernel_vectors_are_sparse_and_canonical():
+    # one vector per free column, holding only its nonzeros: 199 vectors of
+    # 200 columns hold 200 entries, not 199 * 200
+    kb = kernel_basis([{0: 1, 1: 1}], 200)
+    assert len(kb) == 199 and sum(map(len, kb)) == 200
+    assert kb[0] == {0: -1, 1: 1} and kb[1] == {2: 1}
+    rng = random.Random(7)
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_matrix(rng, m, n)
+        kb = kernel_basis(a)
+        assert [max(v) for v in kb] == [f for f in range(n) if f not in rref(a)[1]]
+        for v in kb:
+            assert list(v) == sorted(v) and v[max(v)] == 1 and all(v.values())
+        assert dense_kernel(a) == canonical_kernel(a, n)
+
+
+def test_rank_of_sparse_rows():
+    # the column count of {col: value} rows is not the length of the first row
+    assert rank([{}, {0: 1}]) == 1
+    assert rank([{3: 1, 7: 2}, {}, {3: 2, 7: 4}, {5: Fraction(1, 2)}]) == 2
+    assert rank([]) == rank([{}]) == rank([()]) == 0
 
 
 def test_kernel_basis_needs_ncols_for_sparse_rows():
     # without ncols a {col: value} row has no column count; its length is not one
     with pytest.raises(ValueError, match="ncols"):
         kernel_basis([{0: 1, 5: 2}])
-    assert kernel_basis([{0: 1, 5: 2}], 6)[0] == (0, 1, 0, 0, 0, 0)
+    assert dense_kernel([{0: 1, 5: 2}], 6)[0] == (0, 1, 0, 0, 0, 0)
 
 
 def test_primitive_row_integer_and_rational_rows():
@@ -125,6 +161,13 @@ def test_rref_canonical():
     b = mat([[1, 2]])
     assert spans_equal(a, b)
     assert not spans_equal(a, mat([[1, 0]]))
+
+
+def test_spans_equal_empty_basis():
+    # an empty basis spans the zero space, as does a basis of zero vectors
+    zeros = mat([[0, 0], [0, 0]])
+    assert spans_equal((), ()) and spans_equal((), zeros) and spans_equal(zeros, [])
+    assert not spans_equal((), mat([[0, 1]])) and not spans_equal(mat([[0, 1]]), [])
 
 
 def test_span_contains():
@@ -327,7 +370,7 @@ def test_skew_kernel_matches_nullspace_seeded():
             rows[n - 1][n - 1] = Fraction(0)
             a = tuple(tuple(r) for r in rows)
         res = skew_kernel(a)
-        assert spans_equal(res.basis, kernel_basis(a))
+        assert spans_equal(res.basis, dense_kernel(a))
         hit_closed += res.closed_form
     assert hit_closed > 50
 
@@ -510,7 +553,7 @@ def test_engine_matches_sympy_rank_rref_kernel():
         expect = tuple(tuple(from_sympy(x) for x in r.row(i)) for i in range(len(pivots)))
         assert rref(a) == (expect, tuple(pivots))
         if a:
-            assert kernel_basis(a) == tuple(
+            assert dense_kernel(a) == tuple(
                 tuple(from_sympy(x) for x in v) for v in m.nullspace())
 
 

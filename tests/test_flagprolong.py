@@ -16,7 +16,6 @@ from spflag.exact import (
     mat_sub,
     identity_matrix,
     is_zero_matrix,
-    kernel_basis,
     rank,
     span_contains,
     spans_equal,
@@ -43,6 +42,7 @@ from spflag.flagprolong import (
     sl2_triple,
 )
 from spflag.symbols import build_model_space, parse_symbol, render_symbol
+from densekernel import dense_kernel, densify
 from universes import formula_universe
 
 
@@ -107,7 +107,7 @@ def _fraction_preimage(family, image, targets):
         for p, c in col.items():
             rows.setdefault(p, {})[j] = c
     out = []
-    for v in Echelon(len(columns), rows.values()).kernel():
+    for v in densify(Echelon(len(columns), rows.values()).kernel(), len(columns)):
         combo = {}
         for j, c in enumerate(v[:len(family)]):
             if c:
@@ -192,7 +192,7 @@ def _solved_graded_basis(x, k, positions, conformal):
                    for i, j in positions]
             rows.append(row + [-x.sigma[r][c]] if scaled else row)
     out = []
-    for v in kernel_basis(rows):
+    for v in dense_kernel(rows):
         m = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), y in zip(positions, v):
             m[i][j] = y

@@ -10,7 +10,7 @@ import pytest
 from spflag.cli import _rescaled_hankel, main
 from spflag.errors import RangeError
 from spflag import polyprolong
-from spflag.exact import MultiPoly, kernel_basis, monomials_of_degree, rank
+from spflag.exact import MultiPoly, monomials_of_degree, rank
 from spflag.flagprolong import decompose_azp, graded_symplectic_basis
 from spflag.liealg import heisenberg_from_space
 from spflag.polyprolong import (
@@ -33,6 +33,8 @@ from spflag.polyprolong import (
 from spflag.symbols import build_model_space, parse_symbol
 from spflag.tanaka import prolong
 from spflag.flagprolong import flag_prolong
+
+from densekernel import dense_kernel
 
 
 @lru_cache(maxsize=None)
@@ -693,7 +695,7 @@ def reference_standard_prolong(w, k, sigma, variables=None, weights=None):
                 rows.append(row)
         if not rows:
             continue
-        for v in kernel_basis(tuple(tuple(r) for r in rows)):
+        for v in dense_kernel(tuple(tuple(r) for r in rows)):
             terms = {monos_f[i]: v[c] for c, i in enumerate(mu_indices) if v[c] != 0}
             if terms:
                 out_polys.append(MultiPoly(tuple(variables), terms))
@@ -789,7 +791,7 @@ def reference_secant_ideal(v, degree, k, seed=42, max_rounds=4, split=False):
                 rows.append(tuple(row))
             polys += [
                 MultiPoly(v.ambient, {m: c for m, c in zip(block, vec) if c != 0})
-                for vec in kernel_basis(tuple(rows))
+                for vec in dense_kernel(tuple(rows))
             ]
         if subs_vanishes(v, k, polys):
             return poly_space(degree, v.ambient, polys)

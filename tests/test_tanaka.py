@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spflag.errors import CapReached, JacobiViolation
-from spflag.exact import identity_matrix, kernel_basis, mat, rank
+from spflag.exact import identity_matrix, mat, rank
 from spflag.flagprolong import flag_prolong
 from spflag.liealg import (
     algebra_from_entries,
@@ -19,6 +19,7 @@ from spflag.liealg import (
 )
 from spflag.symbols import build_model_space, dim_x, is_finite_type, parse_symbol
 from spflag.tanaka import LayerElement, _Engine, assemble_algebra, conformal_factor, prolong
+from densekernel import dense_kernel
 from universes import formula_universe
 
 E = mat([[0, 1], [0, 0]])
@@ -253,7 +254,7 @@ def _single_system_layer(eng, k):
     return tuple(
         LayerElement(tuple(tuple(v[a * d1 + r] for a in range(n)) for r in range(d1)),
                      v[m2_off:])
-        for v in kernel_basis(rows or [[0] * nvars]))
+        for v in dense_kernel(rows or [[0] * nvars]))
 
 
 def _assert_layers_match_single_system(text, kmax):
